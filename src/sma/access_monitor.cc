@@ -4,15 +4,27 @@
 
 namespace softmem {
 
-AccessMonitor::AccessMonitor(size_t num_pages,
-                             const AccessMonitorOptions& options,
-                             const Clock* clock)
-    : num_pages_(num_pages),
+Result<std::unique_ptr<AccessMonitor>> AccessMonitor::Create(
+    size_t num_pages, const AccessMonitorOptions& options,
+    const Clock* clock) {
+  SOFTMEM_ASSIGN_OR_RETURN(
+      auto bits, LazyZeroArray<std::atomic<uint8_t>>::Create(num_pages));
+  SOFTMEM_ASSIGN_OR_RETURN(auto heat,
+                           LazyZeroArray<PageHeat>::Create(num_pages));
+  return std::unique_ptr<AccessMonitor>(
+      new AccessMonitor(options, clock, std::move(bits), std::move(heat)));
+}
+
+AccessMonitor::AccessMonitor(const AccessMonitorOptions& options,
+                             const Clock* clock,
+                             LazyZeroArray<std::atomic<uint8_t>> access_bits,
+                             LazyZeroArray<PageHeat> heat)
+    : num_pages_(access_bits.size()),
       options_(options),
       clock_(clock),
       base_ns_(clock->Now()),
-      access_bits_(new std::atomic<uint8_t>[num_pages]()),
-      heat_(num_pages) {}
+      access_bits_(std::move(access_bits)),
+      heat_(std::move(heat)) {}
 
 bool AccessMonitor::SampleTick(
     const std::function<void(const SampleVisit&)>& visit) {
@@ -28,10 +40,20 @@ bool AccessMonitor::SampleTick(
       wrapped = true;
       ++sweeps_;
     }
+    // Load before exchanging: a write to an untouched bit would fault its
+    // page in. A Record racing between the two is kept for the next visit.
+    const bool accessed =
+        access_bits_[page].load(std::memory_order_relaxed) != 0 &&
+        access_bits_[page].exchange(0, std::memory_order_relaxed) != 0;
     PageHeat& h = heat_[page];
     // Lazy decay: catch the counter up with the ticks that passed since it
-    // was last visited, halving once per decay interval.
-    if (options_.decay_every_ticks > 0 && tick > h.last_decay_tick) {
+    // was last visited, halving once per decay interval. A zero counter that
+    // is not being bumped has nothing to decay and is left unwritten, so
+    // sweeping a page nobody touches never makes its heat entry resident;
+    // the skipped intervals are caught up whole on the next visit that runs
+    // the decay, which leaves the same phase as running it every visit.
+    if (options_.decay_every_ticks > 0 && (h.freq != 0 || accessed) &&
+        tick > h.last_decay_tick) {
       const uint64_t intervals =
           (tick - h.last_decay_tick) / options_.decay_every_ticks;
       if (intervals > 0) {
@@ -40,8 +62,6 @@ bool AccessMonitor::SampleTick(
             intervals * options_.decay_every_ticks);
       }
     }
-    const bool accessed =
-        access_bits_[page].exchange(0, std::memory_order_relaxed) != 0;
     if (accessed) {
       if (h.freq < UINT32_MAX) {
         ++h.freq;

@@ -34,9 +34,11 @@
 // global aging sweep, and a page that stops being touched decays to 0 in
 // O(decay_every_ticks * log2(freq)) ticks.
 //
-// Memory cost when enabled: 1 byte (access bit) + 24 bytes (heat) per page
-// of the region — about 12.5 MiB for the default 2 GiB region. Nothing is
-// allocated while the monitor is off.
+// Memory cost when enabled: 1 byte (access bit) + 16 bytes (heat) per page
+// of the region, mapped lazily (see lazy_zero_array.h): a page's entries
+// become resident once it is recorded or its heat has something to decay,
+// so pages the SMA never hands out cost nothing even while the sampler
+// sweeps them. Nothing is mapped while the monitor is off.
 
 #ifndef SOFTMEM_SRC_SMA_ACCESS_MONITOR_H_
 #define SOFTMEM_SRC_SMA_ACCESS_MONITOR_H_
@@ -46,9 +48,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/lazy_zero_array.h"
+#include "src/common/status.h"
 
 namespace softmem {
 
@@ -78,10 +81,13 @@ struct AccessMonitorOptions {
 
 class AccessMonitor {
  public:
-  // `clock` supplies last-access timestamps (inject a SimClock for
-  // deterministic idleness in tests). Must outlive the monitor.
-  AccessMonitor(size_t num_pages, const AccessMonitorOptions& options,
-                const Clock* clock);
+  // Maps the side arrays for `num_pages` pages; fails (never aborts) when
+  // they cannot be mapped. `clock` supplies last-access timestamps (inject a
+  // SimClock for deterministic idleness in tests) and must outlive the
+  // monitor.
+  static Result<std::unique_ptr<AccessMonitor>> Create(
+      size_t num_pages, const AccessMonitorOptions& options,
+      const Clock* clock);
 
   AccessMonitor(const AccessMonitor&) = delete;
   AccessMonitor& operator=(const AccessMonitor&) = delete;
@@ -130,11 +136,16 @@ class AccessMonitor {
   const AccessMonitorOptions& options() const { return options_; }
 
  private:
+  // All-zero = never observed (the lazily mapped table's initial state).
   struct PageHeat {
     Nanos last_access_ns = 0;      // 0 = never observed (use base_ns_)
     uint32_t freq = 0;             // decayed access count
     uint32_t last_decay_tick = 0;  // tick the lazy decay last ran at
   };
+
+  AccessMonitor(const AccessMonitorOptions& options, const Clock* clock,
+                LazyZeroArray<std::atomic<uint8_t>> access_bits,
+                LazyZeroArray<PageHeat> heat);
 
   const size_t num_pages_;
   const AccessMonitorOptions options_;
@@ -142,10 +153,10 @@ class AccessMonitor {
   const Nanos base_ns_;  // creation time: idleness floor for unseen pages
 
   // Written lock-free by Record; consumed (exchange) by SampleTick.
-  std::unique_ptr<std::atomic<uint8_t>[]> access_bits_;
+  LazyZeroArray<std::atomic<uint8_t>> access_bits_;
 
   // Guarded by the caller's serialization of SampleTick/idle_ns/ResetPage.
-  std::vector<PageHeat> heat_;
+  LazyZeroArray<PageHeat> heat_;
   size_t cursor_ = 0;
   uint64_t ticks_ = 0;
   uint64_t sweeps_ = 0;

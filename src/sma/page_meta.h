@@ -3,6 +3,17 @@
 // Metadata lives outside the pages themselves so that a page handed to the
 // application is fully usable and so that reclaimed (decommitted) pages
 // carry no in-band state. One PageMeta per page, indexed by page index.
+//
+// The table is region-sized and committed lazily (see lazy_zero_array.h):
+// entries the SMA never writes stay unbacked, so the all-zero PageMeta is,
+// by construction, the unowned state. kUnowned is 0 and every other field
+// defaults to 0 too; the list links and the slot free list are *not*
+// meaningful in that state. Each transition out of kUnowned writes them
+// before anything reads them: a new slab page gets free_head = kNoSlot in
+// AllocSmallLocked and its links from ListPush, a large head gets its links
+// from ListPush, and a large tail gets `next` = its head. Releasing a page
+// writes PageMeta{} (all-zero again), so an unowned entry never carries a
+// stale link.
 
 #ifndef SOFTMEM_SRC_SMA_PAGE_META_H_
 #define SOFTMEM_SRC_SMA_PAGE_META_H_
@@ -28,13 +39,14 @@ struct PageMeta {
   uint8_t size_class = 0;   // kSlab: index into kSizeClasses
   uint16_t context = 0;     // owning SdsContext id
   uint16_t used_slots = 0;  // kSlab: live allocations on this page
-  uint16_t free_head = kNoSlot;  // kSlab: in-slot free list head
-  uint16_t uninit_slots = 0;     // kSlab: trailing never-touched slots
-  // Intrusive doubly-linked list (by page index). Every slab page is on
-  // exactly one of its heap's partial/full/empty lists; large heads are on
-  // the heap's large list; kLargeTail reuses `next` to point at its head.
-  uint32_t prev = kNoPage;
-  uint32_t next = kNoPage;
+  uint16_t free_head = 0;   // kSlab: in-slot free list head (kNoSlot = none)
+  uint16_t uninit_slots = 0;  // kSlab: trailing never-touched slots
+  // Intrusive doubly-linked list (by page index, kNoPage = none). Every slab
+  // page is on exactly one of its heap's partial/full/empty lists; large
+  // heads are on the heap's large list; kLargeTail reuses `next` to point at
+  // its head.
+  uint32_t prev = 0;
+  uint32_t next = 0;
 };
 
 static_assert(sizeof(PageMeta) <= 24, "PageMeta should stay compact");

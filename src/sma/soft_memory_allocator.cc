@@ -50,8 +50,13 @@ SoftMemoryAllocator::CreateWithSource(const SmaOptions& options,
   if (source == nullptr || source->page_count() == 0) {
     return InvalidArgumentError("page source must be non-empty");
   }
-  auto sma = std::unique_ptr<SoftMemoryAllocator>(
-      new SoftMemoryAllocator(options, channel, std::move(source)));
+  SOFTMEM_ASSIGN_OR_RETURN(SideTables tables,
+                           SideTables::Map(source->page_count()));
+  auto sma = std::unique_ptr<SoftMemoryAllocator>(new SoftMemoryAllocator(
+      options, channel, std::move(source), std::move(tables)));
+  if (options.access_monitor.enabled) {
+    SOFTMEM_RETURN_IF_ERROR(sma->SetAccessMonitorEnabled(true));
+  }
   // The implicit default context (id 0) backs the bare soft_malloc API.
   ContextOptions default_opts;
   default_opts.name = "default";
@@ -65,28 +70,42 @@ SoftMemoryAllocator::CreateWithSource(const SmaOptions& options,
   return sma;
 }
 
+Result<SoftMemoryAllocator::SideTables> SoftMemoryAllocator::SideTables::Map(
+    size_t region_pages) {
+  SideTables t;
+  SOFTMEM_ASSIGN_OR_RETURN(t.metas,
+                           LazyZeroArray<PageMeta>::Create(region_pages));
+  SOFTMEM_ASSIGN_OR_RETURN(
+      t.page_descr, LazyZeroArray<std::atomic<uint32_t>>::Create(region_pages));
+  SOFTMEM_ASSIGN_OR_RETURN(
+      t.ctx_flags, LazyZeroArray<std::atomic<uint8_t>>::Create(kMaxContexts));
+  SOFTMEM_ASSIGN_OR_RETURN(
+      t.ctx_gate, LazyZeroArray<std::atomic<uint32_t>>::Create(kMaxContexts));
+  SOFTMEM_ASSIGN_OR_RETURN(
+      t.xfer, LazyZeroArray<std::atomic<TransferCache*>>::Create(kMaxContexts));
+  return t;
+}
+
 SoftMemoryAllocator::SoftMemoryAllocator(const SmaOptions& options,
                                          SmdChannel* channel,
-                                         std::unique_ptr<PageSource> source)
+                                         std::unique_ptr<PageSource> source,
+                                         SideTables tables)
     : options_(options),
       channel_(channel != nullptr ? channel : &null_channel_),
       instance_generation_(
           g_instance_generation.fetch_add(1, std::memory_order_relaxed)),
       pool_(std::move(source)),
-      metas_(pool_.total_pages()),
+      metas_(std::move(tables.metas)),
       budget_pages_(options.initial_budget_pages),
+      page_descr_(std::move(tables.page_descr)),
+      ctx_flags_(std::move(tables.ctx_flags)),
+      xfer_(std::move(tables.xfer)),
+      ctx_gate_(std::move(tables.ctx_gate)),
       scheme_min_idle_ns_(options.access_monitor.idle_threshold_ns),
       reclaim_journal_(options.reclaim_journal_capacity) {
   region_base_ = reinterpret_cast<uintptr_t>(pool_.PageAddress(0));
   region_bytes_ = pool_.total_pages() * kPageSize;
-  page_descr_.reset(new std::atomic<uint32_t>[pool_.total_pages()]());
-  ctx_flags_.reset(new std::atomic<uint8_t>[kMaxContexts]());
-  ctx_gate_.reset(new std::atomic<uint32_t>[kMaxContexts]());
-  xfer_.reset(new std::atomic<TransferCache*>[kMaxContexts]());
   InitTelemetry();
-  if (options_.access_monitor.enabled) {
-    SetAccessMonitorEnabled(true);
-  }
   tcache_internal::OnAllocatorCreated(this, instance_generation_);
 }
 
@@ -650,6 +669,7 @@ void SoftMemoryAllocator::ListPush(uint32_t* head, uint32_t page) {
 
 void SoftMemoryAllocator::ListRemove(uint32_t* head, uint32_t page) {
   PageMeta& m = metas_[page];
+  assert(m.state != PageState::kUnowned && "unowned pages carry no links");
   if (m.prev != kNoPage) {
     metas_[m.prev].next = m.next;
   } else {
@@ -763,9 +783,11 @@ Status SoftMemoryAllocator::SetAccessMonitorEnabled(bool enabled) {
     // First enable: build the side arrays. They are never torn down (a
     // disable only flips the flag), so RecordAccess can read the pointer
     // with a plain acquire and no reclamation protocol of its own.
-    monitor_.store(new AccessMonitor(pool_.total_pages(),
-                                     options_.access_monitor, time_source()),
-                   std::memory_order_release);
+    SOFTMEM_ASSIGN_OR_RETURN(
+        std::unique_ptr<AccessMonitor> m,
+        AccessMonitor::Create(pool_.total_pages(), options_.access_monitor,
+                              time_source()));
+    monitor_.store(m.release(), std::memory_order_release);
   }
   monitor_enabled_.store(enabled, std::memory_order_release);
   if (!enabled) {
@@ -1356,7 +1378,7 @@ void SoftMemoryAllocator::RevokeThreadCachesLocked(bool bump_epoch) {
 }
 
 void SoftMemoryAllocator::DrainTransferStacksLocked(size_t ctx) {
-  if (!options_.transfer_cache || xfer_ == nullptr) {
+  if (!options_.transfer_cache) {
     return;
   }
   auto drain = [&](size_t id) {

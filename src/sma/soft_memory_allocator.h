@@ -28,7 +28,7 @@
 //    per-context sharded lock-free stacks (TransferCache) first, so in the
 //    steady state neither the per-op path nor the batch path touches the
 //    central mutex; the central heap is only consulted when the stacks run
-//    dry. Cumulative counters are atomics.
+//    dry. Cumulative counters are per-thread striped atomics.
 //  * Central path. All remaining state — page metadata, heaps, the pool,
 //    budget — is guarded by one plain std::mutex (`mu_`) with explicit
 //    *Locked internals. kOldestFirst contexts always take it: their
@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/lazy_zero_array.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/pagealloc/page_pool.h"
@@ -81,7 +82,8 @@ class TransferCache;
 
 struct SmaOptions {
   // Virtual region size. Committed memory is bounded by the budget, not by
-  // this; it only caps the address space (and the side-metadata table).
+  // this; it only caps the address space and the side-metadata tables,
+  // which are mapped lazily and cost memory only for pages the SMA uses.
   size_t region_pages = 512 * 1024;  // 2 GiB
 
   // Budget the SMA starts with (granted out-of-band, e.g. by the scheduler).
@@ -460,8 +462,22 @@ class SoftMemoryAllocator {
     bool outermost_;
   };
 
+  // Region- and context-indexed side tables. They are mapped lazily (see
+  // lazy_zero_array.h), so a table costs RSS only where it is written, and
+  // mapped before construction, so a failed mapping is an error from Create
+  // rather than an abort. Every table's all-zero entry is its empty state.
+  struct SideTables {
+    LazyZeroArray<PageMeta> metas;                      // per page
+    LazyZeroArray<std::atomic<uint32_t>> page_descr;    // per page
+    LazyZeroArray<std::atomic<uint8_t>> ctx_flags;      // per ContextId
+    LazyZeroArray<std::atomic<uint32_t>> ctx_gate;      // per ContextId
+    LazyZeroArray<std::atomic<TransferCache*>> xfer;    // per ContextId
+
+    static Result<SideTables> Map(size_t region_pages);
+  };
+
   SoftMemoryAllocator(const SmaOptions& options, SmdChannel* channel,
-                      std::unique_ptr<PageSource> source);
+                      std::unique_ptr<PageSource> source, SideTables tables);
 
   // True when the calling thread holds mu_ (reclaim-callback re-entry).
   bool HoldsCentralLock() const {
@@ -599,7 +615,7 @@ class SoftMemoryAllocator {
   mutable int mu_depth_ = 0;
 
   PagePool pool_;
-  std::vector<PageMeta> metas_;
+  LazyZeroArray<PageMeta> metas_;
   std::vector<std::unique_ptr<Context>> contexts_;
   std::unordered_map<uint32_t, LargeInfo> large_info_;
   // alloc base -> addresses of pointer variables to null on revocation.
@@ -612,10 +628,10 @@ class SoftMemoryAllocator {
   // Per-page descriptor: kDescrSlabBit | size_class << 16 | context for live
   // slab pages, 0 otherwise. Lets SoftFree route a pointer to the right
   // magazine without the central lock. Written under mu_; read with acquire.
-  std::unique_ptr<std::atomic<uint32_t>[]> page_descr_;
+  LazyZeroArray<std::atomic<uint32_t>> page_descr_;
 
   // Per-context kCtxAlive/kCtxCacheable flags, indexed by ContextId.
-  std::unique_ptr<std::atomic<uint8_t>[]> ctx_flags_;
+  LazyZeroArray<std::atomic<uint8_t>> ctx_flags_;
 
   // Advanced by reclaim revocations; magazines self-flush on mismatch.
   std::atomic<uint64_t> cache_epoch_{0};
@@ -624,12 +640,12 @@ class SoftMemoryAllocator {
   // mu_, published with release; context ids are never reused, so entries
   // live until the allocator dies). Null for non-cacheable contexts or when
   // options_.transfer_cache is off.
-  std::unique_ptr<std::atomic<TransferCache*>[]> xfer_;
+  LazyZeroArray<std::atomic<TransferCache*>> xfer_;
 
   // Per-context reader gate: odd while a revocation (or destruction) has
   // the context's unlink window open. Readers that observe a closed gate
   // unpublish and wait; see PinContext.
-  std::unique_ptr<std::atomic<uint32_t>[]> ctx_gate_;
+  LazyZeroArray<std::atomic<uint32_t>> ctx_gate_;
 
   // Global reclaim epoch, advanced per victim context; epoch entries stamp
   // it at publish time (the grace predicate itself is presence-based).
@@ -684,11 +700,12 @@ class SoftMemoryAllocator {
   // per-context figures) into gauge samples at render time.
   void CollectTelemetry(std::vector<telemetry::Sample>* out) const;
 
-  // Cumulative counters (see SmaStats). telemetry::Counter is one relaxed
-  // atomic, so the magazine fast path never touches mu_. With a registry
-  // configured the pointers alias registry-owned series (single source of
-  // truth for GetStats, stats_text, and /metrics); otherwise they point
-  // into own_counters_, keeping instances fully independent.
+  // Cumulative counters (see SmaStats). telemetry::Counter is a striped
+  // relaxed atomic (one padded cell per thread), so the magazine fast path
+  // neither touches mu_ nor shares a counter line across threads. With a
+  // registry configured the pointers alias registry-owned series (single
+  // source of truth for GetStats, stats_text, and /metrics); otherwise they
+  // point into own_counters_, keeping instances fully independent.
   struct CounterSet {
     telemetry::Counter allocs, frees, budget_requests, budget_failures,
         degraded_denials, reclaim_demands, reclaimed_pages, reclaim_callbacks,

@@ -68,6 +68,13 @@ const char* KindName(MetricKind k) {
 bool Armed() { return g_armed.load(std::memory_order_relaxed); }
 void SetArmed(bool armed) { g_armed.store(armed, std::memory_order_relaxed); }
 
+// ---- Counter ----------------------------------------------------------------
+
+size_t Counter::NextCell() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kCells;
+}
+
 // ---- Histogram --------------------------------------------------------------
 
 Histogram::Histogram(std::vector<uint64_t> bounds) : bounds_(std::move(bounds)) {

@@ -7,9 +7,11 @@
 //
 //  * Three instrument kinds. `Counter` (monotonic), `Gauge` (set/add), and
 //    `Histogram` (fixed upper-bound buckets, cumulative like Prometheus's
-//    `le` semantics). All updates are relaxed atomics: an armed hot-path
-//    site costs one uncontended fetch_add; there is no lock anywhere on the
-//    update path.
+//    `le` semantics). All updates are relaxed atomics and there is no lock
+//    anywhere on the update path. A counter is striped: each thread adds
+//    into its own cache-line-padded cell and reads sum the cells, so a
+//    counter bumped on every allocation by every thread never bounces one
+//    line between cores. Gauges and histograms are single atomics.
 //  * Lock-free registration. Series live in an append-only intrusive list;
 //    `GetCounter`/`GetGauge`/`GetHistogram` walk it and CAS-push a new node
 //    on miss. A lost race (two threads registering the same series) is
@@ -36,7 +38,9 @@
 #ifndef SOFTMEM_SRC_TELEMETRY_METRICS_H_
 #define SOFTMEM_SRC_TELEMETRY_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,15 +63,43 @@ void SetArmed(bool armed);
 
 // ---- Instruments ------------------------------------------------------------
 
-// Monotonic counter. Inc is wait-free (one relaxed fetch_add).
+// Monotonic counter, striped across kCells cache-line-padded cells. Each
+// thread is given a cell index round-robin on its first Inc (one index per
+// thread, shared by every counter in the process) and adds into that cell,
+// so concurrent writers rarely share a line; threads beyond kCells share
+// cells, which costs contention, never correctness. Inc is wait-free (one
+// relaxed fetch_add). Value() sums the cells: exact once writers are
+// quiescent, and while they run it never decreases between two calls from
+// the same thread (each cell is monotonic and read-read coherent). Cost:
+// kCells * 64 bytes per counter.
 class Counter {
  public:
-  void Inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
+  static constexpr size_t kCells = 16;
+
+  void Inc(uint64_t n = 1) {
+    cells_[ThreadCell()].v.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t Value() const {
+    uint64_t sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.v.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
 
  private:
-  std::atomic<uint64_t> v_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> v{0};
+  };
+
+  // The calling thread's cell index, assigned on first use.
+  static size_t ThreadCell() {
+    thread_local const size_t cell = NextCell();
+    return cell;
+  }
+  static size_t NextCell();
+
+  std::array<Cell, kCells> cells_;
 };
 
 // Last-value gauge (signed: budgets can be drawn down below a prior level).

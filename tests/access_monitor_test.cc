@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -29,11 +30,20 @@ AccessMonitorOptions TinyMonitor() {
   return mo;
 }
 
+// An 8-page monitor over `clock` (the sampler's side arrays are mapped, so
+// creation can fail; these tests treat that as fatal).
+std::unique_ptr<AccessMonitor> NewTinyMonitor(const Clock* clock) {
+  auto m = AccessMonitor::Create(8, TinyMonitor(), clock);
+  EXPECT_TRUE(m.ok()) << m.status();
+  return std::move(m).value();
+}
+
 void NoVisit(const AccessMonitor::SampleVisit&) {}
 
 TEST(AccessMonitorTest, RecordThenSampleFoldsIntoFrequency) {
   SimClock sim(1000);
-  AccessMonitor m(8, TinyMonitor(), &sim);
+  auto owned = NewTinyMonitor(&sim);
+  AccessMonitor& m = *owned;
   m.Record(3);
   EXPECT_TRUE(m.SampleTick(NoVisit)) << "8-page budget must wrap the sweep";
   EXPECT_EQ(m.frequency(3), 1u);
@@ -44,7 +54,8 @@ TEST(AccessMonitorTest, RecordThenSampleFoldsIntoFrequency) {
 
 TEST(AccessMonitorTest, DecayHalvesFrequencyEveryInterval) {
   SimClock sim;
-  AccessMonitor m(8, TinyMonitor(), &sim);
+  auto owned = NewTinyMonitor(&sim);
+  AccessMonitor& m = *owned;
   // Two accessed ticks build freq to 2.
   m.Record(3);
   m.SampleTick(NoVisit);  // tick 0
@@ -63,7 +74,8 @@ TEST(AccessMonitorTest, DecayHalvesFrequencyEveryInterval) {
 
 TEST(AccessMonitorTest, IdleTracksInjectedClock) {
   SimClock sim(1000);
-  AccessMonitor m(8, TinyMonitor(), &sim);
+  auto owned = NewTinyMonitor(&sim);
+  AccessMonitor& m = *owned;
   m.Record(5);
   m.SampleTick(NoVisit);  // consume the bit: last_access = now
   sim.Advance(3 * kNanosPerSecond);
@@ -76,14 +88,16 @@ TEST(AccessMonitorTest, IdleTracksInjectedClock) {
 
 TEST(AccessMonitorTest, UnseenPagesIdleSinceCreation) {
   SimClock sim(1000);
-  AccessMonitor m(8, TinyMonitor(), &sim);
+  auto owned = NewTinyMonitor(&sim);
+  AccessMonitor& m = *owned;
   sim.Advance(7 * kNanosPerSecond);
   EXPECT_EQ(m.idle_ns(0, sim.Now()), 7 * kNanosPerSecond);
 }
 
 TEST(AccessMonitorTest, ResetPageForgetsHistory) {
   SimClock sim;
-  AccessMonitor m(8, TinyMonitor(), &sim);
+  auto owned = NewTinyMonitor(&sim);
+  AccessMonitor& m = *owned;
   m.Record(2);
   m.SampleTick(NoVisit);
   sim.Advance(10 * kNanosPerSecond);

@@ -25,16 +25,53 @@
 namespace softmem {
 namespace {
 
-std::unique_ptr<SoftMemoryAllocator> MakeSma(size_t pages) {
+std::unique_ptr<SoftMemoryAllocator> MakeSma(size_t pages,
+                                             SmdChannel* channel = nullptr) {
   SmaOptions o;
   o.region_pages = pages;
   o.initial_budget_pages = pages;
   o.heap_retain_empty_pages = 2;
   o.use_mmap = false;
-  auto r = SoftMemoryAllocator::Create(o);
+  auto r = SoftMemoryAllocator::Create(o, channel);
   EXPECT_TRUE(r.ok());
   return std::move(r).value();
 }
+
+// Daemon stand-in with a fixed capacity and one client: the pages a reclaim
+// demand takes from the SMA go into the daemon's free pool, and budget
+// requests are granted out of that pool (denied when it is empty). The
+// SMA's budget plus the pool therefore stays at the SMA's initial budget,
+// as it would against a real SMD with no other processes.
+class RegrantingDaemon : public SmdChannel {
+ public:
+  using SmdChannel::ReportUsage;
+
+  // Executes one reclaim demand and pools the pages it produced.
+  size_t Reclaim(SoftMemoryAllocator* sma, size_t pages) {
+    const size_t got = sma->HandleReclaimDemand(pages);
+    free_.fetch_add(got);
+    return got;
+  }
+
+  Result<size_t> RequestBudget(size_t pages) override {
+    size_t have = free_.load();
+    size_t grant = 0;
+    do {
+      grant = std::min(have, pages);
+      if (grant == 0) {
+        return DeniedError("stand-in daemon has no free pages");
+      }
+    } while (!free_.compare_exchange_weak(have, have - grant));
+    return grant;
+  }
+  void ReleaseBudget(size_t pages) override { free_.fetch_add(pages); }
+  void ReportUsage(size_t, size_t) override {}
+
+  size_t free_pages() const { return free_.load(); }
+
+ private:
+  std::atomic<size_t> free_{0};
+};
 
 TEST(ConcurrencyTest, ParallelAllocFreeAcrossContexts) {
   constexpr int kThreads = 4;
@@ -411,7 +448,9 @@ TEST(ConcurrencyTest, ParallelProcessesOnOneDaemon) {
 // race on dict state.
 
 TEST(KvStripedConcurrencyTest, CommandsRaceDaemonReclaimDemands) {
-  auto sma = MakeSma(4 * 1024);
+  constexpr size_t kCapacity = 4 * 1024;
+  RegrantingDaemon daemon;
+  auto sma = MakeSma(kCapacity, &daemon);
   StripedKvStoreOptions store_opts;
   store_opts.stripes = 4;
   StripedKvStore store(sma.get(), store_opts);
@@ -422,10 +461,11 @@ TEST(KvStripedConcurrencyTest, CommandsRaceDaemonReclaimDemands) {
   std::atomic<bool> stop_reclaim{false};
 
   // Daemon stand-in: repeated external reclaim demands from a non-command
-  // thread, racing every stripe's gate.
+  // thread, racing every stripe's gate. The reclaimed pages are granted
+  // back when the writers ask for budget, as a real daemon would.
   std::thread reclaimer([&] {
     while (!stop_reclaim.load()) {
-      sma->HandleReclaimDemand(64);
+      daemon.Reclaim(sma.get(), 64);
       std::this_thread::yield();
     }
   });
@@ -477,6 +517,8 @@ TEST(KvStripedConcurrencyTest, CommandsRaceDaemonReclaimDemands) {
   stop_reclaim.store(true);
   reclaimer.join();
   EXPECT_EQ(errors.load(), 0);
+  // Budget is conserved between the SMA and the daemon's pool.
+  EXPECT_EQ(sma->budget_pages() + daemon.free_pages(), kCapacity);
   // The store must still be coherent end to end.
   ASSERT_TRUE(store.Set("final", "check"));
   EXPECT_EQ(*store.Get("final"), "check");

@@ -355,6 +355,70 @@ TEST(TelemetryFaultStressTest, CounterConservationUnderFaultyChurn) {
   EXPECT_EQ(allocs->Value(), frees->Value());
 }
 
+// ---- Striped counter (runs under TSan via check.sh) -------------------------
+
+// `threads` writers each Inc `c` `incs` times; returns once all joined.
+void HammerCounter(Counter* c, int threads, int incs) {
+  std::vector<std::thread> writers;
+  writers.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    writers.emplace_back([c, incs] {
+      for (int i = 0; i < incs; ++i) {
+        c->Inc();
+      }
+    });
+  }
+  for (auto& th : writers) {
+    th.join();
+  }
+}
+
+TEST(StripedCounterTest, ExactTotalWithFourThreads) {
+  Counter c;
+  HammerCounter(&c, 4, 100000);
+  EXPECT_EQ(c.Value(), 4u * 100000u);
+}
+
+TEST(StripedCounterTest, ExactTotalWithMoreThreadsThanCells) {
+  // 32 threads over 16 cells: every cell is shared by at least two threads.
+  static_assert(Counter::kCells < 32);
+  Counter c;
+  HammerCounter(&c, 32, 100000);
+  EXPECT_EQ(c.Value(), 32u * 100000u);
+}
+
+TEST(StripedCounterTest, ValueNeverDecreasesWhileWritersRun) {
+  Counter c;
+  std::atomic<bool> done{false};
+  uint64_t decreases = 0;
+  uint64_t reads = 0;
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const uint64_t v = c.Value();
+      decreases += v < last ? 1 : 0;
+      last = v;
+      ++reads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&c, t] {
+      for (int i = 0; i < 100000; ++i) {
+        c.Inc(static_cast<uint64_t>(t + 1));
+      }
+    });
+  }
+  for (auto& th : writers) {
+    th.join();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(decreases, 0u);
+  EXPECT_EQ(c.Value(), (1u + 2u + 3u + 4u) * 100000u);
+}
+
 // ---- Concurrency (runs under TSan via check.sh) -----------------------------
 
 TEST(TelemetryConcurrencyTest, ConcurrentRegistrationConvergesPerSeries) {
