@@ -1,13 +1,14 @@
-// Thread-safety tests. The SMA serializes through one recursive lock (the
-// paper's §7 leaves fine-grained concurrency open); these tests pin down
-// that concurrent use is *safe*: allocations from many threads, reclaim
-// demands racing application work, and daemon traffic from parallel
-// processes never corrupt state.
+// Thread-safety tests. The SMA takes one plain central mutex behind
+// per-thread magazine caches (the paper's §7 leaves fine-grained concurrency
+// open); these tests pin down that concurrent use is *safe*: allocations
+// from many threads, reclaim demands racing application work, and daemon
+// traffic from parallel processes never corrupt state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -148,13 +149,33 @@ TEST(ConcurrencyTest, ReclaimRacesAllocation) {
   // revocation is the only cleanup, like a true cache)...
   std::atomic<bool> stop{false};
   std::atomic<size_t> inserted{0};
+  std::atomic<bool> exhausted{false};
   std::thread inserter([&] {
     while (!stop.load()) {
       if (sma->SoftMalloc(*cache_ctx, 512) != nullptr) {
         ++inserted;
+      } else {
+        exhausted.store(true);
       }
     }
   });
+
+  // A demand is served from budget slack before any SDS is touched
+  // (DESIGN.md "Two-tier reclamation"), so demands sent while the inserter
+  // is still filling the budget never revoke a cache entry. Wait until the
+  // budget is used up: with allow_self_reclaim off, the first nullptr from
+  // SoftMalloc means exactly that. From then on the inserter allocates
+  // into whatever the demands free, racing revocation.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!exhausted.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!exhausted.load()) {
+    stop.store(true);
+    inserter.join();
+    FAIL() << "inserter never exhausted the budget";
+  }
 
   // ...and a "daemon" thread firing reclaim demands concurrently.
   std::thread reclaimer([&] {
