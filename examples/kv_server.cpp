@@ -172,6 +172,10 @@ int main(int argc, char** argv) {
                                : budget_mib * kMiB / kPageSize;
   o.budget_chunk_pages = 256;
   o.heap_retain_empty_pages = 0;
+  // A cache keeps serving when the daemon denies growth: a SET evicts the
+  // oldest entries of other stripes (through their try-lock gates) instead
+  // of failing with -OOM until a neighbour frees memory.
+  o.allow_self_reclaim = true;
   o.access_monitor.enabled = access_monitor;
   if (scheme_min_idle_ms >= 0) {
     o.access_monitor.idle_threshold_ns =

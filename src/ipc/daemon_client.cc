@@ -467,6 +467,47 @@ void DaemonClient::ReportUsage(const UsageReport& usage) {
   }
 }
 
+int DaemonClient::PollOnceLocked() {
+  // An RPC thread may have consumed the traffic that woke us: kNotFound
+  // here is the normal outcome of losing that race, not a timeout.
+  auto m = channel_->Recv(0);
+  if (m.ok()) {
+    if (m->type == MsgType::kReclaimDemand) {
+      HandleDemand(*m);
+    } else {
+      SOFTMEM_LOG(Warning) << "daemon client poller: unexpected "
+                           << MsgTypeName(m->type);
+    }
+  } else if (m.status().code() != StatusCode::kNotFound) {
+    // Hard transport error (EOF/reset): the daemon died. Degrade and go
+    // redial instead of silently abandoning the connection.
+    EnterDegradedLocked("poller saw transport failure");
+    return 0;
+  }
+  if (options_.heartbeat_interval_ms <= 0) {
+    return -1;
+  }
+  // Refresh the budget lease if we have been quiet for a full interval.
+  const Nanos interval =
+      static_cast<Nanos>(options_.heartbeat_interval_ms) * kNanosPerMilli;
+  const Nanos now = MonotonicClock::Get()->Now();
+  if (now - last_send_ns_ >= interval) {
+    Message hb;
+    hb.type = MsgType::kHeartbeat;
+    hb.pages = last_soft_pages_.load();
+    hb.bytes = last_traditional_bytes_.load();
+    hb.idle = last_idle_pages_.load();
+    if (!channel_->Send(hb).ok()) {
+      EnterDegradedLocked("heartbeat send failed");
+      return 0;
+    }
+    last_send_ns_ = now;
+  }
+  // Round up so the wake-up lands at or after the due time.
+  const Nanos until_due = last_send_ns_ + interval - now;
+  return static_cast<int>((until_due + kNanosPerMilli - 1) / kNanosPerMilli);
+}
+
 void DaemonClient::PollerLoop() {
   int backoff_ms = options_.reconnect_backoff_initial_ms;
   while (!stopping_.load()) {
@@ -483,46 +524,22 @@ void DaemonClient::PollerLoop() {
       continue;
     }
     backoff_ms = options_.reconnect_backoff_initial_ms;
+    std::shared_ptr<MessageChannel> channel;
+    int wait_ms = 0;
     {
-      std::unique_lock<std::recursive_mutex> lock(io_mu_, std::try_to_lock);
-      if (lock.owns_lock() && !degraded_.load()) {
-        auto m = channel_->Recv(options_.poll_interval_ms);
-        if (m.ok() && m->type == MsgType::kReclaimDemand) {
-          HandleDemand(*m);
-          continue;
-        }
-        if (m.ok()) {
-          SOFTMEM_LOG(Warning) << "daemon client poller: unexpected "
-                               << MsgTypeName(m->type);
-        } else if (m.status().code() != StatusCode::kNotFound) {
-          // Hard transport error (EOF/reset): the daemon died. Degrade and
-          // go redial instead of silently abandoning the connection.
-          EnterDegradedLocked("poller saw transport failure");
-          continue;
-        } else if (options_.heartbeat_interval_ms > 0) {
-          // kNotFound = poll timeout, i.e. the channel is idle. Refresh the
-          // budget lease if we have been quiet for a full interval.
-          const Nanos now = MonotonicClock::Get()->Now();
-          const Nanos interval =
-              static_cast<Nanos>(options_.heartbeat_interval_ms) * 1000000;
-          if (now - last_send_ns_ >= interval) {
-            Message hb;
-            hb.type = MsgType::kHeartbeat;
-            hb.pages = last_soft_pages_.load();
-            hb.bytes = last_traditional_bytes_.load();
-            hb.idle = last_idle_pages_.load();
-            if (channel_->Send(hb).ok()) {
-              last_send_ns_ = now;
-            } else {
-              EnterDegradedLocked("heartbeat send failed");
-              continue;
-            }
-          }
-        }
+      std::lock_guard<std::recursive_mutex> lock(io_mu_);
+      if (stopping_.load() || degraded_.load()) {
+        continue;
       }
+      wait_ms = PollOnceLocked();
+      channel = channel_;
     }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.poll_interval_ms));
+    // Wait for traffic without io_mu_, so RPC threads never queue behind
+    // an idle poller. Closing or swapping channel_ wakes this wait: the
+    // old channel is closed first, and the copy keeps it alive meanwhile.
+    if (wait_ms != 0) {
+      channel->WaitReadable(wait_ms);
+    }
   }
 }
 

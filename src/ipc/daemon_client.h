@@ -8,7 +8,9 @@
 //    reclaiming from *us* on behalf of someone else), it is serviced inline
 //    against the attached allocator, then the pump keeps waiting.
 //  * When idle, an optional background poller thread services demands,
-//    sends lease-refresh heartbeats, and drives reconnection.
+//    sends lease-refresh heartbeats, and drives reconnection. It sleeps in
+//    MessageChannel::WaitReadable without io_mu_, so it wakes on traffic
+//    and never holds the channel while nothing arrives.
 //
 // Creation is a handshake: Register() sends kRegister and waits for the ack
 // carrying our daemon-assigned process id and initial budget grant. Wire the
@@ -55,8 +57,6 @@ using ChannelFactory =
 struct DaemonClientOptions {
   // How long an RPC waits for its reply before giving up.
   int rpc_timeout_ms = 10000;
-  // Poller granularity: how often the idle poller checks for demands.
-  int poll_interval_ms = 20;
   // Idle lease refresh: the poller sends a kHeartbeat (carrying the last
   // usage report) when nothing else has been sent for this long, so an idle
   // client survives SmdOptions::lease_ttl. 0 disables heartbeats.
@@ -144,6 +144,12 @@ class DaemonClient : public SmdChannel {
   void HandleDemand(const Message& demand);
   void PollerLoop();
 
+  // One connected-mode poller step under io_mu_: receives what is pending
+  // (Recv(0)), then sends a heartbeat if one is due. Returns how long the
+  // poller may wait for traffic before the next heartbeat is due (-1 when
+  // heartbeats are off). Caller must hold io_mu_.
+  int PollOnceLocked();
+
   // Marks the transport dead and closes it. Caller must hold io_mu_.
   void EnterDegradedLocked(const char* why);
 
@@ -157,7 +163,9 @@ class DaemonClient : public SmdChannel {
   // Applies the post-reattach shrink outside io_mu_.
   void ShrinkAfterReattach(size_t overshoot_pages);
 
-  std::unique_ptr<MessageChannel> channel_;
+  // Shared so the poller can wait on its own copy without io_mu_: a
+  // TryReconnectNow that swaps channel_ meanwhile cannot free it.
+  std::shared_ptr<MessageChannel> channel_;
   const DaemonClientOptions options_;
   ChannelFactory factory_;  // null for Register()-built clients
   std::string name_;

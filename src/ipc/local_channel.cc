@@ -47,24 +47,22 @@ class LocalEndpoint : public MessageChannel {
       return NotFoundError("injected fault: ipc.recv.timeout");
     }
     std::unique_lock<std::mutex> lock(core_->mu);
-    auto& queue = is_a_ ? core_->to_a : core_->to_b;
-    auto ready = [&]() {
-      const bool peer_open = is_a_ ? core_->b_open : core_->a_open;
-      const bool self_open = is_a_ ? core_->a_open : core_->b_open;
-      return !queue.empty() || !peer_open || !self_open;
-    };
-    if (timeout_ms < 0) {
-      core_->cv.wait(lock, ready);
-    } else if (!core_->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                                   ready)) {
+    if (!WaitLocked(lock, timeout_ms)) {
       return NotFoundError("recv timeout");
     }
+    auto& queue = is_a_ ? core_->to_a : core_->to_b;
     if (!queue.empty()) {
       Message m = std::move(queue.front());
       queue.pop_front();
       return m;
     }
     return UnavailableError("channel closed");
+  }
+
+  Status WaitReadable(int timeout_ms) override {
+    std::unique_lock<std::mutex> lock(core_->mu);
+    return WaitLocked(lock, timeout_ms) ? Status::Ok()
+                                        : NotFoundError("recv timeout");
   }
 
   void Close() override {
@@ -74,6 +72,21 @@ class LocalEndpoint : public MessageChannel {
   }
 
  private:
+  // Waits on the core's condition variable until a message is queued for
+  // this end or either end is closed. False on timeout.
+  bool WaitLocked(std::unique_lock<std::mutex>& lock, int timeout_ms) {
+    auto ready = [&]() {
+      const auto& queue = is_a_ ? core_->to_a : core_->to_b;
+      return !queue.empty() || !core_->a_open || !core_->b_open;
+    };
+    if (timeout_ms < 0) {
+      core_->cv.wait(lock, ready);
+      return true;
+    }
+    return core_->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                              ready);
+  }
+
   std::shared_ptr<Core> core_;
   bool is_a_;
 };

@@ -40,7 +40,8 @@ telemetry::Counter* MessagesReceived() {
 
 telemetry::Counter* RecvTimeouts() {
   static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "softmem_ipc_recv_timeouts_total", "Receives that hit their deadline.");
+      "softmem_ipc_recv_timeouts_total",
+      "Receives whose positive deadline expired with no message.");
   return c;
 }
 
@@ -58,7 +59,7 @@ Status MakeAddr(const std::string& path, sockaddr_un* addr) {
 // with no pending data. A signal interrupting the poll is not an error:
 // re-poll with the remaining time so callers never see a spurious
 // kUnavailable from EINTR.
-Status WaitReadable(int fd, int timeout_ms) {
+Status PollReadable(int fd, int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms < 0 ? 0
                                                                  : timeout_ms);
@@ -127,20 +128,29 @@ Result<Message> UnixSocketChannel::Recv(int timeout_ms) {
   if (fd_ < 0) {
     return UnavailableError("channel closed");
   }
+  // Only a positive deadline that expires is a timeout worth counting: a
+  // Recv(0) that finds nothing is a poll, e.g. the DaemonClient poller
+  // losing a wake-up race to an RPC thread.
   if (SOFTMEM_FAULT_FIRED("ipc.recv.timeout")) {
-    RecvTimeouts()->Inc();
+    if (timeout_ms > 0) {
+      RecvTimeouts()->Inc();
+    }
     return NotFoundError("injected fault: ipc.recv.timeout");
   }
-  const Status readable = WaitReadable(fd_, timeout_ms);
+  const Status readable = PollReadable(fd_, timeout_ms);
   if (!readable.ok()) {
-    if (readable.code() == StatusCode::kNotFound) {
+    if (readable.code() == StatusCode::kNotFound && timeout_ms > 0) {
       RecvTimeouts()->Inc();
     }
     return readable;
   }
-  std::vector<uint8_t> buf(kMaxDatagram);
+  // Allocated on first use, without zero-filling, and reused: the
+  // one-receiver rule (channel.h) makes the buffer private to that thread.
+  if (recv_buf_ == nullptr) {
+    recv_buf_.reset(new uint8_t[kMaxDatagram]);
+  }
   ssize_t n;
-  while ((n = ::recv(fd_, buf.data(), buf.size(), 0)) < 0 &&
+  while ((n = ::recv(fd_, recv_buf_.get(), kMaxDatagram, 0)) < 0 &&
          errno == EINTR) {
     static telemetry::Counter* eintr = EintrRecoveries("recv");
     eintr->Inc();
@@ -152,7 +162,14 @@ Result<Message> UnixSocketChannel::Recv(int timeout_ms) {
     return UnavailableError("peer closed");
   }
   MessagesReceived()->Inc();
-  return DecodeMessage(buf.data(), static_cast<size_t>(n));
+  return DecodeMessage(recv_buf_.get(), static_cast<size_t>(n));
+}
+
+Status UnixSocketChannel::WaitReadable(int timeout_ms) {
+  if (fd_ < 0) {
+    return Status::Ok();  // closed: Recv fails at once
+  }
+  return PollReadable(fd_, timeout_ms);
 }
 
 void UnixSocketChannel::Close() {
@@ -195,7 +212,7 @@ Result<std::unique_ptr<MessageChannel>> UnixSocketListener::Accept(
   if (stopped_.load(std::memory_order_acquire)) {
     return UnavailableError("listener shut down");
   }
-  SOFTMEM_RETURN_IF_ERROR(WaitReadable(fd_, timeout_ms));
+  SOFTMEM_RETURN_IF_ERROR(PollReadable(fd_, timeout_ms));
   if (stopped_.load(std::memory_order_acquire)) {
     return UnavailableError("listener shut down");
   }

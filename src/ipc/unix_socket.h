@@ -5,6 +5,7 @@
 #define SOFTMEM_SRC_IPC_UNIX_SOCKET_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -24,12 +25,16 @@ class UnixSocketChannel : public MessageChannel {
 
   Status Send(const Message& m) override;
   Result<Message> Recv(int timeout_ms) override;
+  Status WaitReadable(int timeout_ms) override;
   void Close() override;
 
   int fd() const { return fd_; }
 
  private:
   int fd_;
+  // Receive buffer of one maximal datagram, owned by the single receiver
+  // (channel.h).
+  std::unique_ptr<uint8_t[]> recv_buf_;
 };
 
 // Listening socket bound to a filesystem path. Accept() yields one channel

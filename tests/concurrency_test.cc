@@ -603,5 +603,128 @@ TEST(KvStripedConcurrencyTest, ServedTrafficWithFlushallAndReclaim) {
   EXPECT_EQ(errors.load(), 0);
 }
 
+// kv_server runs its SMA with allow_self_reclaim: when the daemon denies
+// growth, a SET evicts the oldest entries of *other* stripes (through their
+// try-lock gates) instead of failing. These tests pin that down over a
+// channel that denies every request, so the budget never grows.
+std::unique_ptr<SoftMemoryAllocator> MakeSelfReclaimingSma(
+    size_t budget_pages, SmdChannel* channel) {
+  SmaOptions o;
+  o.region_pages = 4 * 1024;
+  o.initial_budget_pages = budget_pages;
+  o.heap_retain_empty_pages = 0;
+  o.use_mmap = false;
+  o.allow_self_reclaim = true;
+  auto r = SoftMemoryAllocator::Create(o, channel);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
+std::string ValueFor(const std::string& key, int version) {
+  return "value:" + key + ":" + std::to_string(version);
+}
+
+TEST(KvStripedConcurrencyTest, SelfReclaimKeepsSetsSucceedingOnDeniedBudget) {
+  constexpr size_t kBudget = 32;  // about 2700 dict entries
+  NullSmdChannel deny_all;
+  auto sma = MakeSelfReclaimingSma(kBudget, &deny_all);
+  StripedKvStoreOptions store_opts;
+  store_opts.stripes = 4;
+  StripedKvStore store(sma.get(), store_opts);
+
+  // Ten times what the budget holds: every key is new, and every tenth SET
+  // also rewrites an earlier key, so "the value last stored" moves.
+  constexpr int kKeys = 30000;
+  std::vector<int> version(kKeys, -1);
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    version[i] = 0;
+    ASSERT_TRUE(store.Set(key, ValueFor(key, 0))) << "SET of new key " << i;
+    if (i % 10 == 9) {
+      const int old = i / 2;
+      const std::string old_key = "k" + std::to_string(old);
+      ++version[old];
+      ASSERT_TRUE(store.Set(old_key, ValueFor(old_key, version[old])))
+          << "SET of earlier key " << old;
+    }
+  }
+  const SmaStats stats = sma->GetStats();
+  EXPECT_EQ(stats.budget_pages, kBudget) << "the denying channel granted";
+  EXPECT_GT(stats.self_reclaims, 0u);
+  const KvStoreStats kv = store.GetStats();
+  EXPECT_GT(kv.reclaimed, 0u);
+  EXPECT_EQ(kv.set_failures, 0u);
+
+  size_t hits = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const auto got = store.Get(key);
+    if (got.has_value()) {
+      ASSERT_EQ(*got, ValueFor(key, version[i])) << key;
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, static_cast<size_t>(kKeys)) << "nothing was evicted";
+}
+
+TEST(KvStripedConcurrencyTest, SelfReclaimingSetsRaceDaemonReclaimDemands) {
+  constexpr size_t kBudget = 64;
+  NullSmdChannel deny_all;
+  auto sma = MakeSelfReclaimingSma(kBudget, &deny_all);
+  StripedKvStoreOptions store_opts;
+  store_opts.stripes = 8;
+  StripedKvStore store(sma.get(), store_opts);
+
+  // Demands take budget away for good (nothing grants it back), so they are
+  // capped at a quarter of it; the writers' SETs must keep succeeding on
+  // what is left.
+  constexpr size_t kDemandCap = kBudget / 4;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> demanded{0};
+  std::thread reclaimer([&] {
+    while (!stop.load() && demanded.load() < kDemandCap) {
+      demanded.fetch_add(sma->HandleReclaimDemand(1));
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr int kWriters = 2;
+  constexpr int kSetsPerWriter = 8000;
+  std::atomic<int> failed_sets{0};
+  std::atomic<int> wrong_values{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      // Each writer owns its keys, so the value it last stored is known.
+      Rng rng(static_cast<uint64_t>(t) + 11);
+      const std::string prefix = "w" + std::to_string(t) + ":";
+      for (int i = 0; i < kSetsPerWriter; ++i) {
+        const std::string key = prefix + std::to_string(i);
+        if (!store.Set(key, ValueFor(key, 0))) {
+          ++failed_sets;
+        }
+        const std::string probe =
+            prefix + std::to_string(rng.NextBounded(static_cast<uint64_t>(i) + 1));
+        const auto got = store.Get(probe);
+        if (got.has_value() && *got != ValueFor(probe, 0)) {
+          ++wrong_values;
+        }
+      }
+    });
+  }
+  for (auto& th : writers) {
+    th.join();
+  }
+  stop.store(true);
+  reclaimer.join();
+  EXPECT_EQ(failed_sets.load(), 0);
+  EXPECT_EQ(wrong_values.load(), 0);
+  EXPECT_GT(sma->GetStats().self_reclaims, 0u);
+  // Self-reclaim moves pages between contexts; only the demands shrink the
+  // budget, and the denying channel never grows it.
+  EXPECT_EQ(sma->budget_pages() + demanded.load(), kBudget);
+}
+
 }  // namespace
 }  // namespace softmem

@@ -92,7 +92,6 @@ int ClientChildBody(ChildIo& io, const ClientConfig& cfg) {
       case 'c': {
         DaemonClientOptions copts;
         copts.rpc_timeout_ms = 5000;
-        copts.poll_interval_ms = 5;
         copts.heartbeat_interval_ms = cfg.heartbeat_ms;
         copts.reconnect_backoff_initial_ms = 5;
         copts.reconnect_backoff_max_ms = 50;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -399,6 +403,253 @@ INSTANTIATE_TEST_SUITE_P(Transports, EndToEndTest,
                            return info.param == ChannelKind::kLocal ? "Local"
                                                                     : "Unix";
                          });
+
+// ---- DaemonClient poller ---------------------------------------------------------
+//
+// The poller waits for traffic without io_mu_ and never sleeps, so an idle
+// client answers a reclaim demand, and another thread's budget RPC gets the
+// channel, within a wake-up. A poller that held io_mu_ through a 20 ms
+// receive and then slept 20 ms delayed both by up to 20 ms: the 25 ms gaps
+// below make every request land in such a window.
+
+constexpr auto kRequestGap = std::chrono::milliseconds(25);
+constexpr int kTimedRequests = 50;
+constexpr double kMedianBoundUs = 2000;
+
+double MedianUs(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// Scripted daemon behind LocalChannel pairs. It acks kRegister/kReattach
+// (accepting the claimed budget), grants every kRequestBudget in full and
+// records kReclaimResults. Each channel it is handed gets a reader thread;
+// the channel that carried the latest (re)registration is the live one.
+class StubDaemon {
+ public:
+  static constexpr uint64_t kInitialPages = 64;
+
+  StubDaemon() = default;
+  StubDaemon(const StubDaemon&) = delete;
+  StubDaemon& operator=(const StubDaemon&) = delete;
+
+  ~StubDaemon() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& end : ends_) {
+        end->Close();
+      }
+    }
+    for (auto& t : readers_) {
+      t.join();
+    }
+  }
+
+  // Dials a fresh pair; the stub serves the daemon end.
+  ChannelFactory Factory() {
+    return [this]() -> Result<std::unique_ptr<MessageChannel>> {
+      auto [client_end, daemon_end] = CreateLocalChannelPair();
+      Serve(std::move(daemon_end));
+      return std::move(client_end);
+    };
+  }
+
+  size_t dials() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dials_;
+  }
+
+  // Sends a one-page reclaim demand on the live channel and waits for its
+  // result. Returns the round trip in microseconds, or -1 after 5 s.
+  double DemandRoundTripUs() {
+    std::unique_lock<std::mutex> lock(mu_);
+    Message demand;
+    demand.type = MsgType::kReclaimDemand;
+    demand.seq = ++demand_seq_;
+    demand.pages = 1;
+    const auto start = std::chrono::steady_clock::now();
+    if (live_ == nullptr || !live_->Send(demand).ok()) {
+      return -1;
+    }
+    const bool answered =
+        cv_.wait_for(lock, std::chrono::seconds(5),
+                     [&] { return last_result_seq_ == demand.seq; });
+    if (!answered) {
+      return -1;
+    }
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }
+
+  // The daemon end of the live channel dies: the client sees EOF.
+  void DropLive() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (live_ != nullptr) {
+      live_->Close();
+      live_ = nullptr;
+    }
+  }
+
+ private:
+  void Serve(std::unique_ptr<MessageChannel> end) {
+    std::lock_guard<std::mutex> lock(mu_);
+    MessageChannel* raw = end.get();
+    ends_.push_back(std::move(end));
+    ++dials_;
+    readers_.emplace_back([this, raw] { ReaderLoop(raw); });
+  }
+
+  void ReaderLoop(MessageChannel* end) {
+    for (;;) {
+      auto m = end->Recv(-1);
+      if (!m.ok()) {
+        return;
+      }
+      Message reply;
+      reply.seq = m->seq;
+      switch (m->type) {
+        case MsgType::kRegister:
+        case MsgType::kReattach: {
+          reply.type = MsgType::kRegisterAck;
+          reply.pid = 1;
+          reply.pages =
+              m->type == MsgType::kRegister ? kInitialPages : m->pages;
+          std::lock_guard<std::mutex> lock(mu_);
+          live_ = end;  // set before the ack: the client then un-degrades
+          end->Send(reply);
+          break;
+        }
+        case MsgType::kRequestBudget:
+          reply.type = MsgType::kBudgetReply;
+          reply.pages = m->pages;
+          end->Send(reply);
+          break;
+        case MsgType::kReclaimResult: {
+          std::lock_guard<std::mutex> lock(mu_);
+          last_result_seq_ = m->seq;
+          cv_.notify_all();
+          break;
+        }
+        default:
+          break;  // usage reports, heartbeats, releases, goodbye
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::unique_ptr<MessageChannel>> ends_;
+  MessageChannel* live_ = nullptr;
+  size_t dials_ = 0;
+  uint64_t demand_seq_ = 0;
+  uint64_t last_result_seq_ = 0;
+  std::vector<std::thread> readers_;  // last: they use the members above
+};
+
+TEST(DaemonClientPollerTest, IdleClientAnswersDemandsWithinAWakeup) {
+  StubDaemon stub;
+  auto client = DaemonClient::Connect(stub.Factory(), "idle");
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto sma = SoftMemoryAllocator::Create(
+      ClientSmaOptions((*client)->initial_budget_pages()), client->get());
+  ASSERT_TRUE(sma.ok());
+  (*client)->AttachAllocator(sma->get());
+  (*client)->StartPoller();
+
+  std::vector<double> rtt_us;
+  for (int i = 0; i < kTimedRequests; ++i) {
+    std::this_thread::sleep_for(kRequestGap);
+    const double us = stub.DemandRoundTripUs();
+    ASSERT_GE(us, 0) << "demand " << i << " was never answered";
+    rtt_us.push_back(us);
+  }
+  EXPECT_LT(MedianUs(rtt_us), kMedianBoundUs);
+  EXPECT_EQ((*client)->demands_served(), static_cast<size_t>(kTimedRequests));
+  // One page of slack per demand.
+  EXPECT_EQ((*sma)->budget_pages(),
+            StubDaemon::kInitialPages - kTimedRequests);
+}
+
+TEST(DaemonClientPollerTest, BudgetRpcDoesNotQueueBehindThePoller) {
+  StubDaemon stub;
+  auto client = DaemonClient::Connect(stub.Factory(), "rpc");
+  ASSERT_TRUE(client.ok()) << client.status();
+  (*client)->StartPoller();
+
+  // The test thread is the RPC thread; the poller runs beside it.
+  std::vector<double> rtt_us;
+  for (int i = 0; i < kTimedRequests; ++i) {
+    std::this_thread::sleep_for(kRequestGap);
+    const auto start = std::chrono::steady_clock::now();
+    auto granted = (*client)->RequestBudget(2);
+    const auto end = std::chrono::steady_clock::now();
+    ASSERT_TRUE(granted.ok()) << granted.status();
+    EXPECT_EQ(*granted, 2u);
+    rtt_us.push_back(
+        std::chrono::duration<double, std::micro>(end - start).count());
+  }
+  EXPECT_LT(MedianUs(rtt_us), kMedianBoundUs);
+  EXPECT_EQ((*client)->ledger_budget_pages(),
+            StubDaemon::kInitialPages + 2 * kTimedRequests);
+}
+
+// The poller waits on its own reference to the channel. Here the transport
+// dies over and over while an RPC thread races the poller to notice, and
+// the test thread swaps in a fresh channel with TryReconnectNow, so swaps
+// land while the poller waits on the old channel. Under ASan/TSan this
+// checks that the old channel outlives that wait; after every swap the
+// poller must follow the new channel and answer a demand on it.
+TEST(DaemonClientPollerTest, ReconnectSwapsTheChannelUnderAWaitingPoller) {
+  StubDaemon stub;
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = 0;  // the poller waits with no timeout
+  copts.rpc_timeout_ms = 5000;
+  copts.reconnect_backoff_initial_ms = 1;
+  copts.reconnect_backoff_max_ms = 4;
+  auto client = DaemonClient::Connect(stub.Factory(), "swapped", copts);
+  ASSERT_TRUE(client.ok()) << client.status();
+  (*client)->StartPoller();
+
+  std::atomic<bool> stop{false};
+  std::thread rpc([&] {
+    while (!stop.load()) {
+      (*client)->RequestBudget(1);  // denied locally while degraded
+      (*client)->ReportUsage(1, 0);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  // Failures break out of the loop rather than return, so the RPC thread
+  // is always joined.
+  constexpr int kCycles = 100;
+  int cycle = 0;
+  for (; cycle < kCycles; ++cycle) {
+    const size_t dials_before = stub.dials();
+    stub.DropLive();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((stub.dials() == dials_before || (*client)->degraded()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      (*client)->TryReconnectNow();
+      std::this_thread::yield();
+    }
+    if ((*client)->degraded()) {
+      ADD_FAILURE() << "client never reconnected in cycle " << cycle;
+      break;
+    }
+    if (stub.DemandRoundTripUs() < 0) {
+      ADD_FAILURE() << "poller did not follow the new channel in cycle "
+                    << cycle;
+      break;
+    }
+  }
+  stop.store(true);
+  rpc.join();
+  EXPECT_EQ(cycle, kCycles);
+  EXPECT_GE((*client)->reconnects(), static_cast<size_t>(kCycles));
+  EXPECT_EQ((*client)->demands_served(), static_cast<size_t>(kCycles));
+}
 
 }  // namespace
 }  // namespace softmem
