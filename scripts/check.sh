@@ -6,8 +6,8 @@
 #   tsan   rebuild under ThreadSanitizer, concurrency + thread-cache +
 #          epoch-reclaim + transfer-cache + access-monitor + telemetry +
 #          striped-counter + fault-soak + crash-recovery + lease +
-#          daemon-client-poller + tenant-QoS/fairness suites
-#          (the multi-threaded ones — TSan's point)
+#          daemon-client-poller + standing-denial + tenant-QoS/fairness
+#          suites (the multi-threaded ones — TSan's point)
 #   crash  plain build, then the multi-process crash-recovery suite and the
 #          seeded SMD fairness-invariant suite looped with a rotating
 #          SOFTMEM_FAULT_SEED (a failing iteration prints the seed; replay
@@ -78,7 +78,7 @@ run_tsan() {
   # instrumented teardown.
   TSAN_OPTIONS="halt_on_error=1:die_after_fork=0" \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-          -R "Concurrency|StripedCounter|ThreadCache|EpochReclaim|TransferCache|AccessMonitor|AccessAwareReclaim|FaultStressSoak|Telemetry|CrashRecovery|SmdLease|DegradedMode|DaemonClientPoller|EventLoop|Uring|SmdFairness|TenantQos" "$@"
+          -R "Concurrency|StripedCounter|ThreadCache|EpochReclaim|TransferCache|AccessMonitor|AccessAwareReclaim|FaultStressSoak|Telemetry|CrashRecovery|SmdLease|DegradedMode|DaemonClientPoller|StandingDenial|EventLoop|Uring|SmdFairness|TenantQos" "$@"
 }
 
 run_crash() {

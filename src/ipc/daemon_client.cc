@@ -55,6 +55,15 @@ telemetry::Counter* DegradedDenials() {
   return c;
 }
 
+telemetry::Counter* LocalDenials() {
+  static telemetry::Counter* c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "softmem_ipc_local_denials_total",
+          "Budget requests denied locally because the daemon's last denial "
+          "still stood (no kBudgetAvailable yet).");
+  return c;
+}
+
 telemetry::Counter* DegradedNs() {
   static telemetry::Counter* c =
       telemetry::MetricsRegistry::Global().GetCounter(
@@ -137,6 +146,7 @@ void DaemonClient::AttachAllocator(SoftMemoryAllocator* sma) { sma_ = sma; }
 
 void DaemonClient::StartPoller() {
   if (!poller_.joinable()) {
+    poller_started_.store(true);
     poller_ = std::thread([this] { PollerLoop(); });
   }
 }
@@ -169,6 +179,32 @@ void DaemonClient::HandleDemand(const Message& demand) {
   channel_->Send(result);
 }
 
+bool DaemonClient::HandleDaemonInitiatedLocked(const Message& m) {
+  switch (m.type) {
+    case MsgType::kReclaimDemand:
+      HandleDemand(m);
+      return true;
+    case MsgType::kBudgetAvailable:
+      ++notices_;
+      ClearStandingDenial();
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool DaemonClient::DenialStandsNow(size_t pages) const {
+  const Nanos since = denied_at_ns_.load(std::memory_order_acquire);
+  // A smaller request than the denied one may still be admitted: ask.
+  if (since == 0 || pages < denied_pages_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  // The lapse bounds a lost notice to one RPC per heartbeat interval.
+  const Nanos lapse =
+      static_cast<Nanos>(options_.heartbeat_interval_ms) * kNanosPerMilli;
+  return MonotonicClock::Get()->Now() - since < lapse;
+}
+
 Status DaemonClient::ReattachOnChannelLocked(size_t* overshoot_pages) {
   *overshoot_pages = 0;
   const size_t claimed = ledger_budget_.load();
@@ -197,8 +233,7 @@ Status DaemonClient::ReattachOnChannelLocked(size_t* overshoot_pages) {
                  ? UnavailableError("reattach timeout")
                  : m.status();
     }
-    if (m->type == MsgType::kReclaimDemand) {
-      HandleDemand(*m);
+    if (HandleDaemonInitiatedLocked(*m)) {
       continue;
     }
     if (m->type == MsgType::kError) {
@@ -212,6 +247,8 @@ Status DaemonClient::ReattachOnChannelLocked(size_t* overshoot_pages) {
     // The ledger follows the daemon's decision; if it clamped our claim the
     // caller walks the SMA down by the difference (outside locks as needed).
     ledger_budget_.store(accepted);
+    // The daemon forgot any standing denial: ask afresh.
+    ClearStandingDenial();
     if (accepted < claimed) {
       *overshoot_pages = claimed - accepted;
     }
@@ -290,8 +327,23 @@ Result<size_t> DaemonClient::RequestBudget(size_t pages) {
     DegradedDenials()->Inc();
     return DeniedError("soft memory daemon unreachable (degraded mode)");
   }
+  auto deny_locally = [this] {
+    local_denials_.fetch_add(1, std::memory_order_relaxed);
+    LocalDenials()->Inc();
+    return DeniedError("soft memory daemon denial stands");
+  };
+  // Asking again before memory frees would only make the daemon run a pass
+  // that recovers nothing and deny again.
+  if (DenialStandsNow(pages)) {
+    return deny_locally();
+  }
   std::lock_guard<std::recursive_mutex> lock(io_mu_);
+  // The RPC ahead of us on io_mu_ may just have been denied.
+  if (DenialStandsNow(pages)) {
+    return deny_locally();
+  }
   telemetry::ScopedLatencyTimer rtt(RpcRttHist());
+  const uint64_t notices_before = notices_;
   Message req;
   req.type = MsgType::kRequestBudget;
   req.seq = next_seq_++;
@@ -350,20 +402,30 @@ Result<size_t> DaemonClient::RequestBudget(size_t pages) {
               "soft memory daemon unreachable (degraded mode)");
         }
         if (m->status_code() != StatusCode::kOk) {
+          // The denial stands if the daemon says so (pages != 0), no notice
+          // overtook the reply, and the poller is there to hear the next.
+          const bool stands = m->status_code() == StatusCode::kDenied &&
+                              m->pages != 0 && notices_ == notices_before &&
+                              poller_started_.load() &&
+                              options_.heartbeat_interval_ms > 0;
+          denied_pages_.store(pages, std::memory_order_relaxed);
+          denied_at_ns_.store(
+              stands ? std::max<Nanos>(MonotonicClock::Get()->Now(), 1) : 0,
+              std::memory_order_release);
           return Status(m->status_code(), m->text);
         }
+        ClearStandingDenial();
         ledger_budget_.fetch_add(m->pages);
         return static_cast<size_t>(m->pages);
-      case MsgType::kReclaimDemand:
-        // The daemon is reclaiming from us while we wait — e.g. another
-        // process's request ranked us as a target. Service it inline (the
-        // SMA lock is recursive, and our own in-flight request is excluded
-        // from targeting by the daemon).
-        HandleDemand(*m);
-        break;
       default:
-        SOFTMEM_LOG(Warning) << "daemon client: unexpected "
-                             << MsgTypeName(m->type);
+        // A reclaim demand may arrive while we wait — another process's
+        // request ranked us as a target. It is serviced inline (the SMA
+        // lock is recursive, and our own in-flight request is excluded
+        // from targeting by the daemon).
+        if (!HandleDaemonInitiatedLocked(*m)) {
+          SOFTMEM_LOG(Warning) << "daemon client: unexpected "
+                               << MsgTypeName(m->type);
+        }
         break;
     }
   }
@@ -407,14 +469,13 @@ Result<std::string> DaemonClient::QueryStats(const std::string& view) {
           continue;
         }
         return m->text;
-      case MsgType::kReclaimDemand:
+      default:
         // Same inline servicing as RequestBudget: a demand may arrive ahead
         // of our reply when another process's request targets us.
-        HandleDemand(*m);
-        break;
-      default:
-        SOFTMEM_LOG(Warning) << "daemon client: unexpected "
-                             << MsgTypeName(m->type);
+        if (!HandleDaemonInitiatedLocked(*m)) {
+          SOFTMEM_LOG(Warning) << "daemon client: unexpected "
+                               << MsgTypeName(m->type);
+        }
         break;
     }
   }
@@ -472,9 +533,7 @@ int DaemonClient::PollOnceLocked() {
   // here is the normal outcome of losing that race, not a timeout.
   auto m = channel_->Recv(0);
   if (m.ok()) {
-    if (m->type == MsgType::kReclaimDemand) {
-      HandleDemand(*m);
-    } else {
+    if (!HandleDaemonInitiatedLocked(*m)) {
       SOFTMEM_LOG(Warning) << "daemon client poller: unexpected "
                            << MsgTypeName(m->type);
     }

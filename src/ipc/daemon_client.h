@@ -29,6 +29,14 @@
 // while the poller redials with exponential backoff and replays identity and
 // budget through a kReattach handshake. A restarted daemon thus rebuilds its
 // table from live clients; nobody's memory is torn down.
+//
+// Standing denials: once the daemon denies a request and says the denial
+// stands, RequestBudget denies that request and any larger one locally —
+// no io_mu_, no send, no daemon pass — until the daemon's kBudgetAvailable
+// notice, a grant, a reconnect or reattach, or one heartbeat interval (the
+// bound on a lost notice). A smaller request still goes to the daemon.
+// Only a client whose poller runs lets a denial stand, since only the
+// poller hears the notice between RPCs.
 
 #ifndef SOFTMEM_SRC_IPC_DAEMON_CLIENT_H_
 #define SOFTMEM_SRC_IPC_DAEMON_CLIENT_H_
@@ -59,7 +67,9 @@ struct DaemonClientOptions {
   int rpc_timeout_ms = 10000;
   // Idle lease refresh: the poller sends a kHeartbeat (carrying the last
   // usage report) when nothing else has been sent for this long, so an idle
-  // client survives SmdOptions::lease_ttl. 0 disables heartbeats.
+  // client survives SmdOptions::lease_ttl. A standing denial lapses after
+  // the same interval even without a notice. 0 disables heartbeats, and
+  // with them standing denials.
   int heartbeat_interval_ms = 1000;
   // Degraded-mode redial cadence: exponential backoff between reconnect
   // attempts, starting at `initial` and capped at `max`.
@@ -112,6 +122,7 @@ class DaemonClient : public SmdChannel {
   bool connected() const override {
     return !degraded_.load(std::memory_order_relaxed);
   }
+  size_t local_denials() const override { return local_denials_.load(); }
 
   // Fetches a formatted statistics snapshot from the daemon. `view` selects
   // the rendering: "tenants" for the per-tenant QoS table, empty for the
@@ -127,6 +138,10 @@ class DaemonClient : public SmdChannel {
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
   size_t demands_served() const { return demands_served_.load(); }
   size_t reconnects() const { return reconnects_.load(); }
+  // True while a daemon denial stands (RequestBudget answers locally).
+  bool denial_standing() const {
+    return denied_at_ns_.load(std::memory_order_relaxed) != 0;
+  }
   // The client-side budget ledger: initial grant + grants - releases -
   // reclaim results. This is the figure a kReattach claims after a daemon
   // restart.
@@ -142,6 +157,20 @@ class DaemonClient : public SmdChannel {
       std::unique_ptr<DaemonClient> client, const std::string& name);
 
   void HandleDemand(const Message& demand);
+
+  // Handles a daemon-initiated message received by any pump: services a
+  // kReclaimDemand, lifts the standing denial on kBudgetAvailable. Returns
+  // false for anything else. Caller must hold io_mu_.
+  bool HandleDaemonInitiatedLocked(const Message& m);
+
+  // Lifts the standing denial, if any.
+  void ClearStandingDenial() {
+    denied_at_ns_.store(0, std::memory_order_relaxed);
+  }
+
+  // True while a standing denial answers a request for `pages` without the
+  // daemon: one at least as large as the denied request.
+  bool DenialStandsNow(size_t pages) const;
   void PollerLoop();
 
   // One connected-mode poller step under io_mu_: receives what is pending
@@ -175,6 +204,7 @@ class DaemonClient : public SmdChannel {
   std::recursive_mutex io_mu_;
   uint64_t next_seq_ = 1;
   Nanos last_send_ns_ = 0;  // heartbeat pacing; guarded by io_mu_
+  uint64_t notices_ = 0;    // kBudgetAvailable received; guarded by io_mu_
 
   SoftMemoryAllocator* sma_ = nullptr;
   std::atomic<uint64_t> pid_{0};
@@ -187,8 +217,16 @@ class DaemonClient : public SmdChannel {
   std::atomic<size_t> last_traditional_bytes_{0};
   std::atomic<size_t> last_idle_pages_{0};
   std::atomic<size_t> reconnects_{0};
+  // When the standing denial began (0 = none), and the request it denied.
+  // Set and cleared under io_mu_; RequestBudget reads them without. A read
+  // that mixes an old and a new value costs at most one extra RPC or one
+  // extra local denial.
+  std::atomic<Nanos> denied_at_ns_{0};
+  std::atomic<size_t> denied_pages_{0};
+  std::atomic<size_t> local_denials_{0};
 
   std::thread poller_;
+  std::atomic<bool> poller_started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<size_t> demands_served_{0};
 };

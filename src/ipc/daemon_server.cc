@@ -61,6 +61,13 @@ class DaemonServer::Session : public ReclaimSink {
     return demand_done_ ? demand_result_ : 0;
   }
 
+  // ReclaimSink: this client's standing denial would now be admitted.
+  void BudgetAvailable() override {
+    Message notice;
+    notice.type = MsgType::kBudgetAvailable;
+    channel_->Send(notice);
+  }
+
  private:
   void ReaderLoop() {
     for (;;) {
@@ -172,12 +179,16 @@ class DaemonServer::Session : public ReclaimSink {
               static_cast<uint32_t>(StatusCode::kFailedPrecondition);
           reply.text = "not registered";
         } else {
-          auto granted = daemon_->HandleBudgetRequest(pid_, m.pages);
+          bool stands = false;
+          auto granted = daemon_->HandleBudgetRequest(pid_, m.pages, &stands);
           if (granted.ok()) {
             reply.pages = *granted;
           } else {
             reply.status = static_cast<uint32_t>(granted.status().code());
             reply.text = granted.status().message();
+            // A standing denial echoes the request: the client stops asking
+            // until kBudgetAvailable.
+            reply.pages = stands ? m.pages : 0;
           }
         }
         channel_->Send(reply);

@@ -32,7 +32,7 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   }
   SOFTMEM_ASSIGN_OR_RETURN(uint8_t type, r.ReadU8());
   if (type < static_cast<uint8_t>(MsgType::kRegister) ||
-      type > static_cast<uint8_t>(MsgType::kReattach)) {
+      type > static_cast<uint8_t>(MsgType::kBudgetAvailable)) {
     return InvalidArgumentError("unknown message type");
   }
   Message m;
@@ -88,6 +88,8 @@ const char* MsgTypeName(MsgType type) {
       return "heartbeat";
     case MsgType::kReattach:
       return "reattach";
+    case MsgType::kBudgetAvailable:
+      return "budget_available";
   }
   return "?";
 }

@@ -1,9 +1,9 @@
 // The SMA <-> SMD protocol message set.
 //
-// Requests carry a sequence number; every reply echoes it. Reclaim demands
-// travel daemon->process and are the only daemon-initiated messages, so a
-// client waiting for a reply must be prepared to service a kReclaimDemand
-// first (see DaemonClient).
+// Requests carry a sequence number; every reply echoes it. Two messages are
+// daemon-initiated: kReclaimDemand and kBudgetAvailable. A client waiting
+// for a reply must be prepared to handle either one first (see
+// DaemonClient).
 
 #ifndef SOFTMEM_SRC_IPC_MESSAGES_H_
 #define SOFTMEM_SRC_IPC_MESSAGES_H_
@@ -21,7 +21,10 @@ enum class MsgType : uint8_t {
                        //       QoS identity the budget is charged under
   kRegisterAck = 2,    // d->c: pages = initial budget, seq unused, u64 arg = pid
   kRequestBudget = 3,  // c->d: pages = wanted
-  kBudgetReply = 4,    // d->c: status + pages granted
+  kBudgetReply = 4,    // d->c: status + pages granted. A kDenied reply
+                       //       with pages != 0 is a standing denial: the
+                       //       daemon remembers the request and sends
+                       //       kBudgetAvailable once it would be admitted
   kReleaseBudget = 5,  // c->d: pages returned (no reply)
   kUsageReport = 6,    // c->d: pages = soft pages, bytes = traditional,
                        //       idle = cold soft pages (no reply)
@@ -44,6 +47,9 @@ enum class MsgType : uint8_t {
                        //       tenant + tclass = QoS identity (re-presented).
                        //       Reply is a kRegisterAck whose pages field is the
                        //       budget the daemon accepted (may be lower).
+  kBudgetAvailable = 15,  // d->c: a standing denial's request would now be
+                          //       admitted (memory freed, a cap rose). No
+                          //       reply; sent once per standing denial.
 };
 
 // CritClass wire values (match src/smd/tenant_tree.h). Out-of-range bytes

@@ -59,6 +59,11 @@ class SmdChannel {
   // mode). The SMA fast-denies budget requests instead of paying an RPC that
   // cannot succeed. In-process channels are always connected.
   virtual bool connected() const { return true; }
+
+  // Budget requests this channel denied without asking the daemon, because
+  // an earlier denial still stands (DaemonClient). In-process channels ask
+  // every time.
+  virtual size_t local_denials() const { return 0; }
 };
 
 // Stand-alone mode: whatever budget the SMA was created with is all it gets.

@@ -1917,6 +1917,7 @@ SmaStats SoftMemoryAllocator::GetStats() const {
   s.budget_requests = budget_requests_->Value();
   s.budget_request_failures = budget_request_failures_->Value();
   s.degraded_denials = degraded_denials_->Value();
+  s.local_denials = channel_->local_denials();
   s.reclaim_demands = reclaim_demands_->Value();
   s.reclaimed_pages = reclaimed_pages_->Value();
   s.reclaim_callbacks = reclaim_callbacks_->Value();

@@ -164,9 +164,11 @@ struct SmaStats {
   // Cumulative counters.
   size_t total_allocs = 0;
   size_t total_frees = 0;
-  size_t budget_requests = 0;        // round-trips to the SMD
+  size_t budget_requests = 0;        // asked of the channel (an RPC unless
+                                     // degraded or a denial stands)
   size_t budget_request_failures = 0;
   size_t degraded_denials = 0;       // denied locally: daemon unreachable
+  size_t local_denials = 0;          // denied by the channel: denial stands
   size_t reclaim_demands = 0;        // HandleReclaimDemand calls
   size_t reclaimed_pages = 0;        // pages relinquished to the daemon
   size_t reclaim_callbacks = 0;      // allocations dropped via callback

@@ -27,7 +27,7 @@ std::string FormatSmaStats(const SmaStats& s) {
      << s.pages_decommitted << " decommitted (cumulative pages)\n"
      << "  daemon: " << s.budget_requests << " budget requests ("
      << s.budget_request_failures << " failed, " << s.degraded_denials
-     << " degraded-local)\n"
+     << " degraded-local, " << s.local_denials << " standing-local)\n"
      << "  reclamation: " << s.reclaim_demands << " demands, "
      << FormatBytes(s.reclaimed_pages * kPageSize) << " relinquished, "
      << s.reclaim_callbacks << " callbacks, " << s.self_reclaims

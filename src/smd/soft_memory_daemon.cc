@@ -46,6 +46,7 @@ void SoftMemoryDaemon::InitTelemetry() {
     lc_reserve_denials_ = &own_counters_.lc_reserve_denials;
     lc_denials_with_batch_headroom_ =
         &own_counters_.lc_denials_with_batch_headroom;
+    budget_notices_ = &own_counters_.budget_notices;
     return;
   }
   const telemetry::Labels labels = {{"instance", options_.metrics_instance}};
@@ -94,6 +95,11 @@ void SoftMemoryDaemon::InitTelemetry() {
       "softmem_smd_lc_denials_with_batch_headroom_total",
       "LC requests denied while batch tenants still held granted budget.",
       &own_counters_.lc_denials_with_batch_headroom);
+  budget_notices_ =
+      counter("softmem_smd_budget_notices_total",
+              "kBudgetAvailable notices: standing denials lifted because "
+              "the request would now be admitted.",
+              &own_counters_.budget_notices);
   pass_duration_hist_ = reg->GetHistogram(
       "softmem_smd_reclaim_pass_duration_ns",
       "Latency of one machine-wide reclamation pass.",
@@ -231,6 +237,49 @@ size_t SoftMemoryDaemon::UsableFreePagesLocked(CritClass cls) const {
   return free > reserve ? free - reserve : 0;
 }
 
+SoftMemoryDaemon::Admission SoftMemoryDaemon::AdmitLocked(const Process& p,
+                                                          size_t pages) const {
+  if (p.cap_pages != 0 && p.budget_pages + pages > p.cap_pages) {
+    return Admission::kProcessCap;
+  }
+  for (TenantTree::NodeId cur = p.node; cur != TenantTree::kRoot;
+       cur = tree_.parent(cur)) {
+    const size_t cap = tree_.cap(cur);
+    if (cap != 0 && cap - std::min(cap, tree_.claim(cur)) < pages) {
+      return Admission::kTenantCap;
+    }
+  }
+  if (UsableFreePagesLocked(p.cls) < pages) {
+    return Admission::kNoFreeMemory;
+  }
+  return Admission::kAdmit;
+}
+
+void SoftMemoryDaemon::ClearStandingLocked(Process& p) {
+  if (p.standing_pages != 0) {
+    p.standing_pages = 0;
+    --standing_denials_;
+  }
+}
+
+void SoftMemoryDaemon::NoticeStandingDenialsLocked() {
+  if (standing_denials_ == 0) {
+    return;
+  }
+  std::vector<ReclaimSink*> ready;
+  for (auto& [pid, p] : processes_) {
+    if (p.standing_pages != 0 &&
+        AdmitLocked(p, p.standing_pages) == Admission::kAdmit) {
+      ClearStandingLocked(p);
+      ready.push_back(p.sink);
+    }
+  }
+  for (ReclaimSink* sink : ready) {
+    budget_notices_->Inc();
+    sink->BudgetAvailable();
+  }
+}
+
 SoftMemoryDaemon::Tenant& SoftMemoryDaemon::TenantLocked(
     const std::string& name) {
   auto it = tenants_.find(name);
@@ -324,8 +373,10 @@ Status SoftMemoryDaemon::DeregisterProcess(ProcessId id,
   }
   assigned_pages_ -= it->second.budget_pages;
   (void)tree_.RemoveLeaf(it->second.node);
+  ClearStandingLocked(it->second);
   processes_.erase(it);
   SOFTMEM_LOG(Info) << "smd: deregistered process " << id;
+  NoticeStandingDenialsLocked();
   return Status::Ok();
 }
 
@@ -348,6 +399,7 @@ Result<ProcessId> SoftMemoryDaemon::ReattachProcess(std::string name,
     p.name = std::move(name);
     p.sink = sink;
     p.last_seen = NowLocked();
+    ClearStandingLocked(p);  // the reattached client asks afresh
     reattaches_->Inc();
     SOFTMEM_LOG(Info) << "smd: process " << prior_id
                       << " reattached to live entry (budget "
@@ -405,6 +457,7 @@ size_t SoftMemoryDaemon::ExpireLeasesTick() {
     }
     assigned_pages_ -= p.budget_pages;
     (void)tree_.RemoveLeaf(p.node);
+    ClearStandingLocked(p);
     lease_expirations_->Inc();
     if (lease_age_at_expiry_hist_ != nullptr && age > 0) {
       lease_age_at_expiry_hist_->Observe(static_cast<uint64_t>(age));
@@ -415,6 +468,9 @@ size_t SoftMemoryDaemon::ExpireLeasesTick() {
                          << p.budget_pages << " budget pages";
     it = processes_.erase(it);
     ++reaped;
+  }
+  if (reaped > 0) {
+    NoticeStandingDenialsLocked();
   }
   return reaped;
 }
@@ -429,8 +485,12 @@ double SoftMemoryDaemon::WeightLocked(const Process& p) const {
 }
 
 Result<size_t> SoftMemoryDaemon::HandleBudgetRequest(ProcessId id,
-                                                     size_t pages) {
+                                                     size_t pages,
+                                                     bool* denial_stands) {
   DaemonLock lock(this);
+  if (denial_stands != nullptr) {
+    *denial_stands = false;
+  }
   auto it = processes_.find(id);
   if (it == processes_.end()) {
     return NotFoundError("unknown process");
@@ -440,8 +500,10 @@ Result<size_t> SoftMemoryDaemon::HandleBudgetRequest(ProcessId id,
     return InvalidArgumentError("zero-page request");
   }
   total_requests_->Inc();
+  ClearStandingLocked(it->second);
   // Failpoint: the daemon denies the grant outright (simulated machine-wide
-  // pressure). Counted like any other denial so stats stay conserved.
+  // pressure). Counted like any other denial so stats stay conserved; it
+  // does not stand, since a retry would not be denied the same way.
   if (SOFTMEM_FAULT_FIRED("smd.grant.deny")) {
     denied_requests_->Inc();
     ++it->second.requests_denied;
@@ -449,56 +511,55 @@ Result<size_t> SoftMemoryDaemon::HandleBudgetRequest(ProcessId id,
   }
   const std::string tenant_name = it->second.tenant;
   const CritClass cls = it->second.cls;
-  auto count_denial = [&](Process& p) {
+  auto deny = [&](Process& p, const char* why, bool repeatable) -> Status {
     denied_requests_->Inc();
     ++p.requests_denied;
     auto tit = tenants_.find(p.tenant);
     if (tit != tenants_.end()) {
       ++tit->second.requests_denied;
     }
-  };
-  if (it->second.cap_pages != 0 &&
-      it->second.budget_pages + pages > it->second.cap_pages) {
-    // Above the scheduler-imposed ceiling: deny without disturbing anyone.
-    count_denial(it->second);
-    return DeniedError("request exceeds this process's soft budget cap");
-  }
-  // The tenant's nested budget is a hard ceiling of the same kind: pages
-  // freed from *other* tenants cannot raise it, so deny before disturbing
-  // anyone. (Members of the same tenant can release voluntarily instead.)
-  {
-    size_t tenant_room = std::numeric_limits<size_t>::max();
-    for (TenantTree::NodeId cur = it->second.node; cur != TenantTree::kRoot;
-         cur = tree_.parent(cur)) {
-      const size_t cap = tree_.cap(cur);
-      if (cap != 0) {
-        const size_t claim = tree_.claim(cur);
-        tenant_room = std::min(tenant_room, cap - std::min(cap, claim));
+    if (repeatable && denial_stands != nullptr && p.sink != nullptr) {
+      if (p.standing_pages == 0) {
+        ++standing_denials_;
       }
+      p.standing_pages = pages;
+      *denial_stands = true;
     }
-    if (tenant_room < pages) {
-      count_denial(it->second);
-      return DeniedError("request exceeds the tenant's nested budget cap");
-    }
+    return DeniedError(why);
+  };
+  Admission admission = AdmitLocked(it->second, pages);
+  // The process cap and the tenant's nested budget are hard ceilings: pages
+  // freed from *other* tenants cannot raise them, so deny before disturbing
+  // anyone. (Members of the same tenant can release voluntarily instead.)
+  if (admission == Admission::kProcessCap) {
+    return deny(it->second, "request exceeds this process's soft budget cap",
+                /*repeatable=*/true);
   }
-
-  if (UsableFreePagesLocked(cls) < pages) {
+  if (admission == Admission::kTenantCap) {
+    return deny(it->second, "request exceeds the tenant's nested budget cap",
+                /*repeatable=*/true);
+  }
+  const bool pass = admission == Admission::kNoFreeMemory;
+  size_t recovered = 0;
+  if (pass) {
     // Memory pressure: run a reclamation pass before deciding. Batch
     // requesters must also restore the LC reserve they would dip into.
     const size_t need = pages - UsableFreePagesLocked(cls);
-    ReclaimLocked(need, id);
+    recovered = ReclaimLocked(need, id);
     // A sink may have re-entered the daemon and mutated the table (an
     // in-process expiry tick, even this requester's own removal): re-find.
     it = processes_.find(id);
     if (it == processes_.end()) {
       return NotFoundError("process vanished during reclamation");
     }
+    // The pass only lowers claims, so the caps still hold: this is the
+    // free-memory test again.
+    admission = AdmitLocked(it->second, pages);
   }
-  if (UsableFreePagesLocked(cls) < pages) {
+  if (admission != Admission::kAdmit) {
     // §3.3: if the page quota cannot be reached, the triggering request is
     // denied (never partially granted) — this caps the number of processes
     // disturbed per request.
-    count_denial(it->second);
     if (cls == CritClass::kBatch && FreePagesLocked() >= pages) {
       // Only the reserve stood in the way: QoS working as intended.
       lc_reserve_denials_->Inc();
@@ -517,12 +578,23 @@ Result<size_t> SoftMemoryDaemon::HandleBudgetRequest(ProcessId id,
     SOFTMEM_LOG(Info) << "smd: denied " << pages << "-page request from "
                       << id << " (tenant '" << tenant_name << "', "
                       << CritClassName(cls) << ")";
-    return DeniedError("machine soft memory exhausted");
+    // Only a pass that recovered nothing is one the next request would
+    // repeat: a partial pass was cut short (target count, isolation share,
+    // demand timeout, partial compliance) and the next may free more.
+    Status denied = deny(it->second, "machine soft memory exhausted",
+                         /*repeatable=*/recovered == 0);
+    // What the pass did recover may still admit a smaller standing request.
+    NoticeStandingDenialsLocked();
+    return denied;
   }
   GrantLocked(it->second, pages);
   granted_requests_->Inc();
   ++it->second.requests_granted;
   ++TenantLocked(tenant_name).requests_granted;
+  if (pass) {
+    // The over-reclaimed leftover may admit a standing request.
+    NoticeStandingDenialsLocked();
+  }
   return pages;
 }
 
@@ -537,6 +609,7 @@ Status SoftMemoryDaemon::HandleBudgetRelease(ProcessId id, size_t pages) {
   it->second.budget_pages -= give;
   assigned_pages_ -= give;
   tree_.Release(it->second.node, give);
+  NoticeStandingDenialsLocked();
   return Status::Ok();
 }
 
@@ -770,6 +843,7 @@ Status SoftMemoryDaemon::SetProcessCap(ProcessId id, size_t cap_pages) {
     return NotFoundError("unknown process");
   }
   it->second.cap_pages = cap_pages;
+  NoticeStandingDenialsLocked();
   return Status::Ok();
 }
 
@@ -785,6 +859,7 @@ size_t SoftMemoryDaemon::ProactiveReclaimTick() {
   const size_t got = ReclaimLocked(need, /*requester=*/0, /*proactive=*/true);
   if (got > 0) {
     proactive_reclaims_->Inc();
+    NoticeStandingDenialsLocked();
   }
   return got;
 }
@@ -808,6 +883,8 @@ SmdStats SoftMemoryDaemon::GetStats() const {
   s.lc_reserve_denials = lc_reserve_denials_->Value();
   s.lc_denials_with_batch_headroom =
       lc_denials_with_batch_headroom_->Value();
+  s.standing_denials = standing_denials_;
+  s.budget_notices = budget_notices_->Value();
   for (const auto& [tname, t] : tenants_) {
     SmdTenantStats ts;
     ts.name = tname;

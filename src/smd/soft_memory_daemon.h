@@ -49,6 +49,11 @@ class ReclaimSink {
   // Demand that the process relinquish `pages` pages of soft memory.
   // Returns the pages actually given up (0 if the process cannot comply).
   virtual size_t DemandReclaim(size_t pages) = 0;
+  // A standing denial of this process's budget request would now be
+  // admitted (see HandleBudgetRequest). Called under the daemon's lock, at
+  // most once per standing denial; must not call back into the daemon.
+  // In-process sinks ignore it: their requests never stand.
+  virtual void BudgetAvailable() {}
 };
 
 struct SmdOptions {
@@ -168,6 +173,8 @@ struct SmdStats {
   size_t reattaches = 0;          // kReattach recoveries accepted
   size_t usage_clamps = 0;        // reports with idle > soft, clamped at ingest
   size_t lc_reserve_denials = 0;  // batch requests blocked only by the reserve
+  size_t standing_denials = 0;    // processes waiting for a kBudgetAvailable
+  size_t budget_notices = 0;      // standing denials lifted by a notice
   // Denials of an LC request while batch tenants still held granted budget —
   // the starvation invariant the fairness suite asserts stays 0 when
   // max_reclaim_targets covers the machine and sinks comply.
@@ -232,7 +239,17 @@ class SoftMemoryDaemon {
   // A process asks for `pages` more budget. Returns pages granted (the full
   // request) or kDenied if reclamation could not free enough (§3.3: partial
   // grants are not made; the request is denied).
-  Result<size_t> HandleBudgetRequest(ProcessId id, size_t pages);
+  //
+  // Standing denials: a caller that passes `denial_stands` can deliver
+  // ReclaimSink::BudgetAvailable to the process. On a denial the daemon
+  // would repeat (cap, tenant cap, no free memory after a pass that
+  // recovered nothing; not a partial pass or an injected fault) it then
+  // sets *denial_stands, remembers the request, and calls BudgetAvailable
+  // once freed memory, a release or a raised cap would admit it — so the
+  // process need not ask again before then. The process's next request
+  // replaces the record.
+  Result<size_t> HandleBudgetRequest(ProcessId id, size_t pages,
+                                     bool* denial_stands = nullptr);
 
   // A process voluntarily returns unused budget.
   Status HandleBudgetRelease(ProcessId id, size_t pages);
@@ -282,6 +299,7 @@ class SoftMemoryDaemon {
     size_t requests_granted = 0;
     size_t requests_denied = 0;
     Nanos last_seen = 0;            // lease refresh timestamp
+    size_t standing_pages = 0;      // request of a standing denial (0 = none)
     bool demand_in_flight = false;  // mid-DemandReclaim: spare from expiry
   };
 
@@ -347,6 +365,20 @@ class SoftMemoryDaemon {
 
   Nanos NowLocked() const { return clock_->Now(); }
 
+  // Why a request for `pages` more budget would not be admitted right now.
+  // HandleBudgetRequest and the standing-denial notices share this one
+  // predicate, so a notice is sent exactly when a request would be granted
+  // without a pass.
+  enum class Admission { kAdmit, kProcessCap, kTenantCap, kNoFreeMemory };
+  Admission AdmitLocked(const Process& p, size_t pages) const;
+
+  // Forgets `p`'s standing denial, if any.
+  void ClearStandingLocked(Process& p);
+
+  // Sends BudgetAvailable to every process whose standing denial would now
+  // be admitted. Call wherever free memory or a cap can rise.
+  void NoticeStandingDenialsLocked();
+
   double WeightLocked(const Process& p) const;
 
   // Finds (or lazily creates) the tenant entry for `name`, applying any
@@ -393,7 +425,8 @@ class SoftMemoryDaemon {
   struct CounterSet {
     telemetry::Counter requests, granted, denied, reclamations,
         reclaimed_pages, proactive, lease_expirations, reattaches,
-        usage_clamps, lc_reserve_denials, lc_denials_with_batch_headroom;
+        usage_clamps, lc_reserve_denials, lc_denials_with_batch_headroom,
+        budget_notices;
   };
   CounterSet own_counters_;
   telemetry::Counter* total_requests_ = nullptr;
@@ -407,6 +440,8 @@ class SoftMemoryDaemon {
   telemetry::Counter* usage_clamps_ = nullptr;
   telemetry::Counter* lc_reserve_denials_ = nullptr;
   telemetry::Counter* lc_denials_with_batch_headroom_ = nullptr;
+  telemetry::Counter* budget_notices_ = nullptr;
+  size_t standing_denials_ = 0;  // processes with standing_pages != 0
 
   telemetry::Histogram* pass_duration_hist_ = nullptr;
   telemetry::Histogram* pass_pages_hist_ = nullptr;

@@ -13,7 +13,9 @@ std::string FormatSmdStats(const SmdStats& s) {
      << ", assigned " << FormatBytes(s.assigned_pages * kPageSize)
      << ", free " << FormatBytes(s.free_pages * kPageSize) << "\n"
      << "  requests: " << s.total_requests << " (" << s.granted_requests
-     << " granted, " << s.denied_requests << " denied)\n"
+     << " granted, " << s.denied_requests << " denied; "
+     << s.standing_denials << " standing, " << s.budget_notices
+     << " budget notices)\n"
      << "  reclamations: " << s.reclamations << " passes ("
      << s.proactive_reclaims << " proactive), "
      << FormatBytes(s.reclaimed_pages * kPageSize) << " moved\n"

@@ -17,11 +17,15 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/ipc/channel.h"
+#include "src/ipc/daemon_client.h"
+#include "src/ipc/daemon_server.h"
 #include "src/kv/event_loop.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/striped_store.h"
 #include "src/runtime/sim_machine.h"
 #include "src/sma/soft_memory_allocator.h"
+#include "src/smd/soft_memory_daemon.h"
 
 namespace softmem {
 namespace {
@@ -724,6 +728,114 @@ TEST(KvStripedConcurrencyTest, SelfReclaimingSetsRaceDaemonReclaimDemands) {
   // Self-reclaim moves pages between contexts; only the demands shrink the
   // budget, and the denying channel never grows it.
   EXPECT_EQ(sma->budget_pages() + demanded.load(), kBudget);
+}
+
+
+// kv_server's set-up over a real daemon that can free nothing: "hog" holds
+// the rest of the machine and has no allocator, so every reclaim demand it
+// gets yields 0. The first page-needing SET is denied and the denial
+// stands; every later SET evicts through self-reclaim without asking the
+// daemon, until hog releases memory and the notice lets the budget grow.
+TEST(KvStripedConcurrencyTest, DeniedBudgetCostsAFewRpcsNotOnePerSet) {
+  constexpr size_t kCapacity = 512;
+  constexpr size_t kInitialPages = 64;
+  constexpr int kHeartbeatMs = 1000;
+  SmdOptions smd_opts;
+  smd_opts.capacity_pages = kCapacity;
+  smd_opts.initial_grant_pages = kInitialPages;
+  smd_opts.over_reclaim_factor = 0.0;
+  SoftMemoryDaemon daemon(smd_opts);
+  DaemonServer server(&daemon);
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = kHeartbeatMs;
+  auto join = [&](const std::string& name) {
+    auto [client_end, daemon_end] = CreateLocalChannelPair();
+    server.AddClient(std::move(daemon_end));
+    auto client = DaemonClient::Register(std::move(client_end), name, copts);
+    EXPECT_TRUE(client.ok()) << client.status();
+    (*client)->StartPoller();
+    return std::move(client).value();
+  };
+  auto kv = join("kv");
+  auto hog = join("hog");
+  ASSERT_TRUE(hog->RequestBudget(kCapacity - 2 * kInitialPages).ok());
+
+  SmaOptions o;
+  o.region_pages = 4 * 1024;
+  o.initial_budget_pages = kv->initial_budget_pages();
+  o.budget_chunk_pages = 16;
+  o.heap_retain_empty_pages = 0;
+  o.use_mmap = false;
+  o.allow_self_reclaim = true;
+  auto sma = SoftMemoryAllocator::Create(o, kv.get());
+  ASSERT_TRUE(sma.ok()) << sma.status();
+  kv->AttachAllocator(sma->get());
+  StripedKvStoreOptions store_opts;
+  store_opts.stripes = 4;
+  StripedKvStore store(sma->get(), store_opts);
+
+  // About ten times what 64 pages hold.
+  constexpr int kWriters = 4;
+  constexpr int kSetsPerWriter = 2000;
+  auto write = [&](const std::string& round) {
+    std::atomic<int> failed{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kSetsPerWriter; ++i) {
+          const std::string key =
+              round + ":" + std::to_string(t) + ":" + std::to_string(i);
+          if (!store.Set(key, ValueFor(key, 0))) {
+            ++failed;
+          }
+        }
+      });
+    }
+    for (auto& th : writers) {
+      th.join();
+    }
+    return failed.load();
+  };
+  const size_t requests_before = daemon.GetStats().total_requests;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(write("held"), 0);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  // One denied request, plus one more each time the denial lapses.
+  const size_t rpcs = daemon.GetStats().total_requests - requests_before;
+  EXPECT_GE(rpcs, 1u);
+  EXPECT_LE(rpcs, 2 + static_cast<size_t>(elapsed_ms / kHeartbeatMs))
+      << "in " << elapsed_ms << " ms";
+  EXPECT_GT((*sma)->GetStats().self_reclaims, 0u);
+  EXPECT_GT(kv->local_denials(), 0u);
+  const size_t held_budget = (*sma)->budget_pages();
+  EXPECT_EQ(held_budget, kInitialPages);
+
+  // Budget is conserved: the SMA, the client's ledger and the daemon agree,
+  // and the machine is still fully assigned.
+  auto conserved = [&] {
+    EXPECT_EQ((*sma)->budget_pages(), kv->ledger_budget_pages());
+    EXPECT_EQ(*daemon.GetBudget(kv->process_id()), kv->ledger_budget_pages());
+    EXPECT_EQ(*daemon.GetBudget(hog->process_id()), hog->ledger_budget_pages());
+    EXPECT_EQ(daemon.GetStats().assigned_pages + daemon.free_pages(),
+              kCapacity);
+  };
+  conserved();
+  EXPECT_EQ(daemon.free_pages(), 0u);
+
+  // Memory frees: the notice lifts the denial and the next SETs grow.
+  hog->ReleaseBudget(128);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (kv->denial_standing() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(kv->denial_standing());
+  EXPECT_EQ(write("freed"), 0);
+  EXPECT_GT((*sma)->budget_pages(), held_budget);
+  conserved();
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 #include "src/ipc/wire.h"
 #include "src/sma/soft_memory_allocator.h"
 #include "src/smd/soft_memory_daemon.h"
+#include "src/telemetry/metrics.h"
+#include "src/testing/failpoint.h"
 
 namespace softmem {
 namespace {
@@ -422,8 +424,9 @@ double MedianUs(std::vector<double> samples) {
 }
 
 // Scripted daemon behind LocalChannel pairs. It acks kRegister/kReattach
-// (accepting the claimed budget), grants every kRequestBudget in full and
-// records kReclaimResults. Each channel it is handed gets a reader thread;
+// (accepting the claimed budget), grants every kRequestBudget in full (or,
+// after SetDenyBudget(true), denies it as a standing denial and never sends
+// kBudgetAvailable) and records kReclaimResults. Each channel it is handed gets a reader thread;
 // the channel that carried the latest (re)registration is the live one.
 class StubDaemon {
  public:
@@ -458,6 +461,9 @@ class StubDaemon {
     std::lock_guard<std::mutex> lock(mu_);
     return dials_;
   }
+
+  void SetDenyBudget(bool deny) { deny_budget_.store(deny); }
+  size_t budget_requests() const { return budget_requests_.load(); }
 
   // Sends a one-page reclaim demand on the live channel and waits for its
   // result. Returns the round trip in microseconds, or -1 after 5 s.
@@ -521,8 +527,12 @@ class StubDaemon {
           break;
         }
         case MsgType::kRequestBudget:
+          budget_requests_.fetch_add(1);
           reply.type = MsgType::kBudgetReply;
-          reply.pages = m->pages;
+          reply.pages = m->pages;  // the grant, or the standing request
+          if (deny_budget_.load()) {
+            reply.status = static_cast<uint32_t>(StatusCode::kDenied);
+          }
           end->Send(reply);
           break;
         case MsgType::kReclaimResult: {
@@ -544,6 +554,8 @@ class StubDaemon {
   size_t dials_ = 0;
   uint64_t demand_seq_ = 0;
   uint64_t last_result_seq_ = 0;
+  std::atomic<bool> deny_budget_{false};
+  std::atomic<size_t> budget_requests_{0};
   std::vector<std::thread> readers_;  // last: they use the members above
 };
 
@@ -649,6 +661,230 @@ TEST(DaemonClientPollerTest, ReconnectSwapsTheChannelUnderAWaitingPoller) {
   EXPECT_EQ(cycle, kCycles);
   EXPECT_GE((*client)->reconnects(), static_cast<size_t>(kCycles));
   EXPECT_EQ((*client)->demands_served(), static_cast<size_t>(kCycles));
+}
+
+
+// ---- Standing denials ------------------------------------------------------------
+//
+// After the daemon denies a request, the client answers further requests
+// itself until the daemon's kBudgetAvailable notice (or a grant, a
+// reconnect, or one heartbeat interval), instead of paying a round trip
+// and a daemon pass that recovers nothing.
+
+double ElapsedUs(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+// A real daemon behind DaemonServer. "hog" holds the whole machine and has
+// no allocator attached, so every reclaim demand it gets yields nothing:
+// any other process's request is denied after an empty pass.
+class StandingDenialTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kCapacity = 256;
+
+  StandingDenialTest() {
+    SmdOptions o;
+    o.capacity_pages = kCapacity;
+    o.initial_grant_pages = 0;
+    o.over_reclaim_factor = 0.0;
+    o.metrics = &registry_;
+    daemon_ = std::make_unique<SoftMemoryDaemon>(o);
+    server_ = std::make_unique<DaemonServer>(daemon_.get());
+  }
+
+  ~StandingDenialTest() override {
+    // Clients first: their goodbyes reach a live server.
+    needy_.reset();
+    hog_.reset();
+    server_->Stop();
+  }
+
+  std::unique_ptr<DaemonClient> Join(const std::string& name,
+                                     DaemonClientOptions copts) {
+    auto [client_end, daemon_end] = CreateLocalChannelPair();
+    server_->AddClient(std::move(daemon_end));
+    auto client = DaemonClient::Register(std::move(client_end), name, copts);
+    EXPECT_TRUE(client.ok()) << client.status();
+    (*client)->StartPoller();
+    return std::move(client).value();
+  }
+
+  // Joins hog and needy and gives the whole machine to hog.
+  void FillMachine(DaemonClientOptions copts = {}) {
+    hog_ = Join("hog", copts);
+    needy_ = Join("needy", copts);
+    ASSERT_TRUE(hog_->RequestBudget(kCapacity).ok());
+  }
+
+  // A release has no reply: wait for the daemon to apply it.
+  void WaitForFreePages(size_t pages) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon_->free_pages() < pages &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_GE(daemon_->free_pages(), pages);
+  }
+
+  uint64_t SmdRequests() {
+    return registry_
+        .GetCounter("softmem_smd_requests_total", "", {{"instance", "smd"}})
+        ->Value();
+  }
+
+  telemetry::MetricsRegistry registry_;
+  std::unique_ptr<SoftMemoryDaemon> daemon_;
+  std::unique_ptr<DaemonServer> server_;
+  std::unique_ptr<DaemonClient> hog_;
+  std::unique_ptr<DaemonClient> needy_;
+};
+
+TEST_F(StandingDenialTest, RequestsDuringADenialNeverReachTheDaemon) {
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = 60000;  // no lapse within the test
+  FillMachine(copts);
+  const auto start = std::chrono::steady_clock::now();
+  auto denied = needy_->RequestBudget(8);
+  const double rpc_us = ElapsedUs(start);
+  ASSERT_EQ(denied.status().code(), StatusCode::kDenied);
+  ASSERT_TRUE(needy_->denial_standing());
+
+  const uint64_t requests_before = SmdRequests();
+  std::vector<double> local_us;
+  for (int i = 0; i < 100; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto again = needy_->RequestBudget(8);
+    local_us.push_back(ElapsedUs(t0));
+    EXPECT_EQ(again.status().code(), StatusCode::kDenied);
+  }
+  EXPECT_EQ(SmdRequests(), requests_before);
+  EXPECT_EQ(needy_->local_denials(), 100u);
+  EXPECT_LT(MedianUs(local_us), rpc_us / 10)
+      << "the denied round trip took " << rpc_us << " us";
+  const SmdStats s = daemon_->GetStats();
+  EXPECT_EQ(s.standing_denials, 1u);
+  EXPECT_EQ(s.denied_requests, 1u);
+}
+
+TEST_F(StandingDenialTest, SmallerRequestStillReachesTheDaemon) {
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = 60000;  // no lapse within the test
+  FillMachine(copts);
+  ASSERT_EQ(needy_->RequestBudget(64).status().code(), StatusCode::kDenied);
+  ASSERT_TRUE(needy_->denial_standing());
+  hog_->ReleaseBudget(8);  // admits 8 pages, not the standing 64
+  WaitForFreePages(8);
+  EXPECT_EQ(daemon_->GetStats().budget_notices, 0u);
+
+  const uint64_t requests_before = SmdRequests();
+  EXPECT_EQ(needy_->RequestBudget(64).status().code(), StatusCode::kDenied);
+  EXPECT_EQ(SmdRequests(), requests_before) << "64 pages: denied locally";
+  auto granted = needy_->RequestBudget(8);
+  ASSERT_TRUE(granted.ok()) << granted.status();
+  EXPECT_EQ(*granted, 8u);
+  EXPECT_EQ(SmdRequests(), requests_before + 1);
+  EXPECT_FALSE(needy_->denial_standing());
+  EXPECT_EQ(needy_->local_denials(), 1u);
+}
+
+TEST_F(StandingDenialTest, ReleaseByAnotherClientLiftsTheDenial) {
+  FillMachine();
+  constexpr int kRounds = 20;
+  std::vector<double> grant_us;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(needy_->RequestBudget(8).status().code(), StatusCode::kDenied)
+        << "round " << round;
+    ASSERT_TRUE(needy_->denial_standing());
+    const auto release = std::chrono::steady_clock::now();
+    hog_->ReleaseBudget(8);
+    const auto deadline = release + std::chrono::seconds(5);
+    Result<size_t> granted = DeniedError("not asked yet");
+    while (!(granted = needy_->RequestBudget(8)).ok() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(granted.ok()) << "round " << round << ": " << granted.status();
+    grant_us.push_back(ElapsedUs(release));
+    EXPECT_FALSE(needy_->denial_standing());
+    // Back to the full machine for the next round.
+    needy_->ReleaseBudget(8);
+    WaitForFreePages(8);
+    ASSERT_TRUE(hog_->RequestBudget(8).ok()) << "round " << round;
+  }
+  EXPECT_LT(MedianUs(grant_us), kMedianBoundUs);
+  const SmdStats s = daemon_->GetStats();
+  EXPECT_EQ(s.budget_notices, static_cast<size_t>(kRounds));
+  EXPECT_EQ(s.standing_denials, 0u);
+  EXPECT_EQ(s.assigned_pages, kCapacity);
+}
+
+TEST_F(StandingDenialTest, InjectedDenialDoesNotStand) {
+  FillMachine();
+  hog_->ReleaseBudget(8);  // the request would be granted but for the fault
+  WaitForFreePages(8);
+  {
+    fail::FailSpec spec;
+    spec.code = StatusCode::kDenied;
+    fail::ScopedFailpoint fp("smd.grant.deny", spec);
+    EXPECT_EQ(needy_->RequestBudget(8).status().code(), StatusCode::kDenied);
+  }
+  EXPECT_FALSE(needy_->denial_standing());
+  EXPECT_EQ(daemon_->GetStats().standing_denials, 0u);
+  EXPECT_TRUE(needy_->RequestBudget(8).ok());
+}
+
+TEST(StandingDenialStubTest, LostNoticeCostsOneRequestPerHeartbeat) {
+  StubDaemon stub;
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = 200;
+  auto client = DaemonClient::Connect(stub.Factory(), "unnoticed", copts);
+  ASSERT_TRUE(client.ok()) << client.status();
+  (*client)->StartPoller();
+  stub.SetDenyBudget(true);
+
+  EXPECT_FALSE((*client)->RequestBudget(4).ok());
+  EXPECT_TRUE((*client)->denial_standing());
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE((*client)->RequestBudget(4).ok());
+  }
+  EXPECT_EQ(stub.budget_requests(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE((*client)->RequestBudget(4).ok());
+  EXPECT_EQ(stub.budget_requests(), 2u) << "the denial did not lapse";
+  EXPECT_EQ((*client)->local_denials(), 10u);
+}
+
+TEST(StandingDenialStubTest, ReconnectClearsTheDenial) {
+  StubDaemon stub;
+  DaemonClientOptions copts;
+  copts.heartbeat_interval_ms = 60000;  // no lapse within the test
+  copts.reconnect_backoff_initial_ms = 1;
+  copts.reconnect_backoff_max_ms = 4;
+  auto client = DaemonClient::Connect(stub.Factory(), "reconnected", copts);
+  ASSERT_TRUE(client.ok()) << client.status();
+  (*client)->StartPoller();
+  stub.SetDenyBudget(true);
+  EXPECT_FALSE((*client)->RequestBudget(4).ok());
+  ASSERT_TRUE((*client)->denial_standing());
+
+  const size_t dials_before = stub.dials();
+  stub.DropLive();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((stub.dials() == dials_before || (*client)->degraded()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    (*client)->TryReconnectNow();
+    std::this_thread::yield();
+  }
+  ASSERT_FALSE((*client)->degraded()) << "client never reconnected";
+  EXPECT_FALSE((*client)->denial_standing());
+  stub.SetDenyBudget(false);
+  auto granted = (*client)->RequestBudget(4);
+  ASSERT_TRUE(granted.ok()) << granted.status();
+  EXPECT_EQ(stub.budget_requests(), 2u);
 }
 
 }  // namespace

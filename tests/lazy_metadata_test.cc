@@ -115,11 +115,14 @@ TEST(SmaLazyMetadataTest, SamplerSweepLeavesUnusedPagesUnbacked) {
   o.access_monitor.enabled = true;
   o.access_monitor.pages_per_tick = 64 * 1024;
   o.access_monitor.decay_every_ticks = 1;
-  const size_t before = VmRssKib();
   auto sma = SoftMemoryAllocator::Create(o);
   ASSERT_TRUE(sma.ok()) << sma.status();
   void* p = (*sma)->SoftMalloc(64);  // one recorded page keeps a heat entry
   ASSERT_NE(p, nullptr);
+  // The window starts after creation and the first allocation (the test
+  // above bounds creation), so it holds only the sweeps and not the
+  // sanitizer allocator's own first-use growth.
+  const size_t before = VmRssKib();
   // Two full sweeps: every page's access bit and heat entry is visited and
   // decayed, and only the pages in use may become resident (4 MiB of heat
   // and 256 KiB of access bits would otherwise be).

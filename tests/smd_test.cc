@@ -267,6 +267,148 @@ TEST(SmdTest, RequesterNeverSelfReclaimed) {
   EXPECT_EQ(sink.demands(), 0u);
 }
 
+// ---- Standing denials ------------------------------------------------------------
+//
+// A caller that passes `denial_stands` gets BudgetAvailable once the denied
+// request would be admitted, judged by the same predicate as a request.
+
+class NoticeSink : public FakeSink {
+ public:
+  NoticeSink() : FakeSink(0) {}
+  void BudgetAvailable() override { ++notices_; }
+  size_t notices() const { return notices_; }
+
+ private:
+  size_t notices_ = 0;
+};
+
+TEST(SmdStandingDenialTest, ReleaseThatAdmitsTheRequestSendsOneNotice) {
+  SoftMemoryDaemon smd(DaemonOptions(100));
+  NoticeSink hog_sink, needy_sink;
+  auto hog = smd.RegisterProcess("hog", &hog_sink);
+  auto needy = smd.RegisterProcess("needy", &needy_sink);
+  ASSERT_TRUE(hog.ok() && needy.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*hog, 100).ok());
+  bool stands = false;
+  EXPECT_FALSE(smd.HandleBudgetRequest(*needy, 30, &stands).ok());
+  EXPECT_TRUE(stands);
+  EXPECT_EQ(smd.GetStats().standing_denials, 1u);
+  ASSERT_TRUE(smd.HandleBudgetRelease(*hog, 20).ok());
+  EXPECT_EQ(needy_sink.notices(), 0u) << "20 free pages cannot admit 30";
+  ASSERT_TRUE(smd.HandleBudgetRelease(*hog, 10).ok());
+  EXPECT_EQ(needy_sink.notices(), 1u);
+  ASSERT_TRUE(smd.HandleBudgetRelease(*hog, 10).ok());
+  EXPECT_EQ(needy_sink.notices(), 1u) << "one notice per standing denial";
+  const SmdStats s = smd.GetStats();
+  EXPECT_EQ(s.standing_denials, 0u);
+  EXPECT_EQ(s.budget_notices, 1u);
+  EXPECT_EQ(hog_sink.notices(), 0u);
+  EXPECT_TRUE(smd.HandleBudgetRequest(*needy, 30).ok());
+}
+
+TEST(SmdStandingDenialTest, PartialPassDenialDoesNotStand) {
+  SoftMemoryDaemon smd(DaemonOptions(100));
+  FakeSink victim_sink(5);  // gives up 5 of the 30 pages asked
+  NoticeSink needy_sink;
+  auto victim = smd.RegisterProcess("victim", &victim_sink);
+  auto needy = smd.RegisterProcess("needy", &needy_sink);
+  ASSERT_TRUE(victim.ok() && needy.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*victim, 100).ok());
+  smd.HandleUsageReport(*victim, 100, 0);
+  bool stands = true;
+  EXPECT_FALSE(smd.HandleBudgetRequest(*needy, 30, &stands).ok());
+  ASSERT_EQ(victim_sink.total_given(), 5u);
+  EXPECT_FALSE(stands) << "the next pass may recover more: ask again";
+  EXPECT_EQ(smd.GetStats().standing_denials, 0u);
+
+  // Once a pass recovers nothing, the denial stands.
+  EXPECT_FALSE(smd.HandleBudgetRequest(*needy, 30, &stands).ok());
+  ASSERT_EQ(victim_sink.total_given(), 5u);
+  EXPECT_TRUE(stands);
+  EXPECT_EQ(smd.GetStats().standing_denials, 1u);
+}
+
+TEST(SmdStandingDenialTest, CallersWithoutNoticesRecordNothing) {
+  SoftMemoryDaemon smd(DaemonOptions(100));
+  NoticeSink hog_sink, needy_sink;
+  auto hog = smd.RegisterProcess("hog", &hog_sink);
+  auto needy = smd.RegisterProcess("needy", &needy_sink);
+  ASSERT_TRUE(hog.ok() && needy.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*hog, 100).ok());
+  EXPECT_FALSE(smd.HandleBudgetRequest(*needy, 30).ok());
+  ASSERT_TRUE(smd.DeregisterProcess(*hog).ok());
+  EXPECT_EQ(needy_sink.notices(), 0u);
+  EXPECT_EQ(smd.GetStats().budget_notices, 0u);
+}
+
+TEST(SmdStandingDenialTest, BatchNoticeWaitsForTheLcReserve) {
+  SmdOptions o = DaemonOptions(100);
+  o.lc_reserve_fraction = 0.2;  // 20 pages batch requesters cannot use
+  SoftMemoryDaemon smd(o);
+  NoticeSink hog_sink, batch_sink;
+  auto hog = smd.RegisterProcess("hog", &hog_sink, "lc",
+                                 CritClass::kLatencyCritical);
+  auto batch = smd.RegisterProcess("batch", &batch_sink);
+  ASSERT_TRUE(hog.ok() && batch.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*hog, 100).ok());
+  bool stands = false;
+  EXPECT_FALSE(smd.HandleBudgetRequest(*batch, 10, &stands).ok());
+  ASSERT_TRUE(stands);
+  ASSERT_TRUE(smd.HandleBudgetRelease(*hog, 25).ok());
+  EXPECT_EQ(batch_sink.notices(), 0u) << "25 free, 20 of them reserved";
+  ASSERT_TRUE(smd.HandleBudgetRelease(*hog, 5).ok());
+  EXPECT_EQ(batch_sink.notices(), 1u);
+  EXPECT_TRUE(smd.HandleBudgetRequest(*batch, 10).ok());
+}
+
+TEST(SmdStandingDenialTest, CapDenialsStandUntilTheCapAdmits) {
+  SmdOptions o = DaemonOptions(1000);
+  o.tenants.push_back({"t", CritClass::kBatch, 1.0, 100});
+  SoftMemoryDaemon smd(o);
+  NoticeSink a_sink, b_sink;
+  auto a = smd.RegisterProcess("a", &a_sink, "t");
+  auto b = smd.RegisterProcess("b", &b_sink, "t");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*a, 90).ok());
+  bool stands = false;
+  EXPECT_FALSE(smd.HandleBudgetRequest(*b, 20, &stands).ok());
+  ASSERT_TRUE(stands) << "the tenant cap denies";
+  ASSERT_TRUE(smd.HandleBudgetRelease(*a, 10).ok());
+  EXPECT_EQ(b_sink.notices(), 1u);
+  ASSERT_TRUE(smd.HandleBudgetRequest(*b, 20).ok());
+
+  ASSERT_TRUE(smd.SetProcessCap(*b, 20).ok());
+  EXPECT_FALSE(smd.HandleBudgetRequest(*b, 5, &stands).ok());
+  ASSERT_TRUE(stands) << "the process cap denies";
+  ASSERT_TRUE(smd.HandleBudgetRelease(*a, 50).ok());
+  EXPECT_EQ(b_sink.notices(), 1u) << "freed memory cannot lift a cap";
+  ASSERT_TRUE(smd.SetProcessCap(*b, 25).ok());
+  EXPECT_EQ(b_sink.notices(), 2u);
+}
+
+TEST(SmdStandingDenialTest, OverReclaimLeftoverAdmitsAStandingRequest) {
+  SmdOptions o = DaemonOptions(100);
+  o.over_reclaim_factor = 1.0;
+  SoftMemoryDaemon smd(o);
+  FakeSink victim_sink(0);  // complies only once set_available is called
+  NoticeSink needy_sink;
+  auto victim = smd.RegisterProcess("victim", &victim_sink);
+  auto needy = smd.RegisterProcess("needy", &needy_sink);
+  auto req = smd.RegisterProcess("req", nullptr);
+  ASSERT_TRUE(victim.ok() && needy.ok() && req.ok());
+  ASSERT_TRUE(smd.HandleBudgetRequest(*victim, 100).ok());
+  smd.HandleUsageReport(*victim, 100, 0);
+  bool stands = false;
+  EXPECT_FALSE(smd.HandleBudgetRequest(*needy, 10, &stands).ok());
+  ASSERT_TRUE(stands);
+  // req needs 10, the pass takes 20: req gets 10 and the other 10 admit
+  // the standing request.
+  victim_sink.set_available(100);
+  ASSERT_TRUE(smd.HandleBudgetRequest(*req, 10).ok());
+  EXPECT_EQ(smd.free_pages(), 10u);
+  EXPECT_EQ(needy_sink.notices(), 1u);
+}
+
 TEST(SmdTest, OverReclaimFactorFreesExtra) {
   SmdOptions o = DaemonOptions(100);
   o.over_reclaim_factor = 1.0;  // take 100% extra

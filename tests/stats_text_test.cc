@@ -58,5 +58,19 @@ TEST(StatsTextTest, SmdSummaryListsProcesses) {
   EXPECT_NE(text.find("1 granted"), std::string::npos) << text;
 }
 
+// Why a grant was not asked for: requests the client answered itself, and
+// the daemon's standing denials and notices.
+TEST(StatsTextTest, StandingDenialsShowOnBothSides) {
+  SmaStats sma;
+  sma.local_denials = 7;
+  EXPECT_NE(FormatSmaStats(sma).find("7 standing-local"), std::string::npos);
+  SmdStats smd;
+  smd.standing_denials = 2;
+  smd.budget_notices = 5;
+  const std::string text = FormatSmdStats(smd);
+  EXPECT_NE(text.find("2 standing, 5 budget notices"), std::string::npos)
+      << text;
+}
+
 }  // namespace
 }  // namespace softmem
